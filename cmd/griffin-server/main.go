@@ -53,14 +53,14 @@
 // Overload refusals are 503s with Retry-After; /statz grows an
 // "overload" block and /healthz a shed_rate (see docs/robustness.md).
 //
-// With -ingest the loaded index becomes the seed segment of a live
-// engine (or live cluster at -shards > 1): POST /ingest accepts
+// With -ingest the loaded index becomes the seed of a live cluster (one
+// shard unless -shards > 1): POST /ingest accepts
 // add/update/delete mutations that are visible to the next /search
-// through an in-memory delta, background merges fold the delta into the
-// compressed main segment once it crosses -merge-threshold (contending
-// with queries on the shared simulated device), /statz grows an
-// "ingest" block, and /healthz reports "degraded" — still serving —
-// when merge lag exceeds -freshness-threshold. In cluster mode
+// through per-shard in-memory deltas, background merges fold a shard's
+// delta into its compressed segment once it crosses -merge-threshold
+// (contending with queries on the shard's simulated device), /statz
+// grows an "ingest" block, and /healthz reports "degraded" — still
+// serving — when merge lag exceeds -freshness-threshold. At -shards > 1
 // -split-watermark splits a shard whose live document count crosses it,
 // re-routing mid-flight. See docs/ingest.md.
 //
@@ -269,7 +269,9 @@ func main() {
 	exitOn(err)
 
 	var handler *server.Server
-	if *shards > 1 {
+	// Live ingest always runs on the cluster layer: a single node is the
+	// one-shard live cluster.
+	if *shards > 1 || *ingestOn {
 		var inj *fault.Injector
 		if *chaosRate > 0 {
 			inj = fault.NewInjector(fault.Plan{Seed: *chaosSeed, Rules: []fault.Rule{
@@ -355,34 +357,10 @@ func main() {
 		if *batchWindow > 0 {
 			devs += fmt.Sprintf(", batching window=%v max=%d", *batchWindow, *batchMax)
 		}
-		if *ingestOn {
-			e, err := ingest.Open(ix, ingest.Config{
-				Engine:          ecfg,
-				MergeThreshold:  *mergeThreshold,
-				AutoMerge:       *mergeAuto,
-				WALDir:          *walDir,
-				WALSyncEvery:    *walSync,
-				CheckpointEvery: *checkpointEvery,
-			})
-			exitOn(err)
-			// After HTTP drain: syncs the WAL, then waits out background
-			// merges — every acknowledged mutation is durable on exit.
-			defer e.Close()
-			handler = server.NewLive(e, *freshness)
-			devs += fmt.Sprintf(", live ingest (merge at %d, auto=%v)", *mergeThreshold, *mergeAuto)
-			if *walDir != "" {
-				st := e.Stats()
-				log.Printf("griffin-server: durable ingest under %s (sync every %d, checkpoint every %d): recovered gen %d, %d replayed records, watermark %d, %d torn bytes truncated",
-					*walDir, *walSync, *checkpointEvery, st.Gen,
-					st.WAL.RecoveredRecords, st.WAL.CheckpointGen,
-					st.WAL.TruncatedBytes)
-			}
-		} else {
-			engine, err := core.New(ix, ecfg)
-			exitOn(err)
-			defer engine.Close()
-			handler = server.New(engine)
-		}
+		engine, err := core.New(ix, ecfg)
+		exitOn(err)
+		defer engine.Close()
+		handler = server.New(engine)
 		log.Printf("griffin-server: %d docs, %d terms, mode=%s%s, listening on %s",
 			ix.NumDocs, ix.NumTerms(), mode, devs, *addr)
 	}

@@ -23,8 +23,13 @@ import (
 //
 // The merge cost is priced like any other top-k: one heap candidate per
 // merged element under the calibrated CPU model — the gather-side term of
-// the cluster's critical-path latency.
+// the cluster's critical-path latency. A single part is already a sorted
+// top-k under the same order, so it is the answer (truncated to k) and
+// the gather does no work: a one-shard cluster's latency is its shard's.
 func MergeTopK(parts [][]kernels.ScoredDoc, k int) ([]kernels.ScoredDoc, hwmodel.CPUWork) {
+	if len(parts) == 1 && k > 0 && len(parts[0]) > 0 {
+		return parts[0][:min(len(parts[0]), k)], hwmodel.CPUWork{}
+	}
 	n := 0
 	for _, p := range parts {
 		n += len(p)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
+	"griffin/internal/kernels"
 	"griffin/internal/workload"
 )
 
@@ -109,10 +111,51 @@ func TestScatterGatherParity(t *testing.T) {
 							g.DocID, math.Float32bits(g.Score), w.DocID, math.Float32bits(w.Score))
 					}
 				}
+				// One shard is the single engine: its gather is free, so the
+				// cluster's critical path is the engine's latency exactly.
+				if shards == 1 && got.Stats.Latency != want[i].Stats.Latency {
+					t.Fatalf("%v shards=1 query %d %v: latency %v != single-engine %v (merge %v)",
+						mode, i, q.Terms, got.Stats.Latency, want[i].Stats.Latency, got.Stats.MergeTime)
+				}
 			}
 			cl.Close()
 		}
 		single.Close()
+	}
+}
+
+func TestMergeTopK(t *testing.T) {
+	a := []kernels.ScoredDoc{{DocID: 4, Score: 9}, {DocID: 1, Score: 7}, {DocID: 8, Score: 7}}
+	b := []kernels.ScoredDoc{{DocID: 2, Score: 8}, {DocID: 3, Score: 7}}
+	ids := func(docs []kernels.ScoredDoc) []uint32 {
+		out := make([]uint32, len(docs))
+		for i, d := range docs {
+			out[i] = d.DocID
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		parts [][]kernels.ScoredDoc
+		k     int
+		want  []uint32
+		free  bool
+	}{
+		{"two parts", [][]kernels.ScoredDoc{a, b}, 4, []uint32{4, 2, 1, 3}, false},
+		{"one part is the answer", [][]kernels.ScoredDoc{a}, 10, []uint32{4, 1, 8}, true},
+		{"one part truncated", [][]kernels.ScoredDoc{a}, 2, []uint32{4, 1}, true},
+		{"empty parts", [][]kernels.ScoredDoc{{}, {}}, 3, nil, true},
+		{"one empty part", [][]kernels.ScoredDoc{{}}, 3, nil, true},
+		{"k zero", [][]kernels.ScoredDoc{a}, 0, nil, true},
+	}
+	for _, tc := range cases {
+		got, work := MergeTopK(tc.parts, tc.k)
+		if fmt.Sprint(ids(got)) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: docs %v, want %v", tc.name, ids(got), tc.want)
+		}
+		if free := work == (hwmodel.CPUWork{}); free != tc.free {
+			t.Errorf("%s: work %+v, want free=%v", tc.name, work, tc.free)
+		}
 	}
 }
 

@@ -404,21 +404,7 @@ func (e *Engine) Search(terms []string) (*Result, error) {
 // needs the answer — a cluster query whose hedge already won, a closed
 // HTTP request — aborts the remaining work with ctx's error.
 func (e *Engine) SearchContext(ctx context.Context, terms []string) (*Result, error) {
-	return e.SearchOverlayContext(ctx, terms, nil)
-}
-
-// SearchOverlayContext is SearchContext with a live-ingestion overlay:
-// the query executes against this engine's main segment plus the pinned
-// delta view, and the overlay's scorer evaluates the snapshot's
-// collection statistics. A nil overlay (or one with an empty view and
-// nil scorer) degenerates to the frozen-corpus path byte for byte.
-func (e *Engine) SearchOverlayContext(ctx context.Context, terms []string, ov *exec.Overlay) (*Result, error) {
-	var h *gpu.QueryStream
-	if e.node != nil {
-		h = e.node.AdmitOn(e.placeDevice(terms))
-		defer h.Release()
-	}
-	return e.search(ctx, terms, h, ov)
+	return e.SearchOptsContext(ctx, terms, nil, SearchOptions{})
 }
 
 // SearchAt runs one query arriving at an explicit simulated time on the
@@ -428,24 +414,7 @@ func (e *Engine) SearchOverlayContext(ctx context.Context, terms []string, ov *e
 // query even though the driver executes queries one at a time, so the
 // returned latency is the arrival-to-completion sojourn time.
 func (e *Engine) SearchAt(terms []string, arrival time.Duration) (*Result, error) {
-	return e.SearchAtContext(nil, terms, arrival)
-}
-
-// SearchAtContext is SearchAt with a cancellation context (see
-// SearchContext).
-func (e *Engine) SearchAtContext(ctx context.Context, terms []string, arrival time.Duration) (*Result, error) {
-	return e.SearchOverlayAtContext(ctx, terms, arrival, nil)
-}
-
-// SearchOverlayAtContext is SearchAtContext with a live-ingestion
-// overlay (see SearchOverlayContext).
-func (e *Engine) SearchOverlayAtContext(ctx context.Context, terms []string, arrival time.Duration, ov *exec.Overlay) (*Result, error) {
-	var h *gpu.QueryStream
-	if e.node != nil {
-		h = e.node.AdmitAtOn(e.placeDeviceAt(terms, arrival), arrival)
-		defer h.Release()
-	}
-	return e.search(ctx, terms, h, ov)
+	return e.SearchOptsAtContext(nil, terms, arrival, nil, SearchOptions{})
 }
 
 // placeDevice chooses the device for one query. Single-device nodes skip

@@ -26,11 +26,20 @@ type SearchOptions struct {
 	TopK int
 }
 
-// SearchOptsContext is SearchOverlayContext with overload options. A
-// zero opts delegates to the legacy path unchanged.
+// SearchOptsContext is SearchContext with a live-ingestion overlay and
+// overload options. The query executes against this engine's main
+// segment plus the overlay's pinned delta view, and the overlay's scorer
+// evaluates the snapshot's collection statistics; a nil overlay is the
+// frozen-corpus path byte for byte. A zero opts takes the legacy path
+// unchanged: no budget check, configured top-k, configured plan mode.
 func (e *Engine) SearchOptsContext(ctx context.Context, terms []string, ov *exec.Overlay, opts SearchOptions) (*Result, error) {
 	if opts == (SearchOptions{}) {
-		return e.SearchOverlayContext(ctx, terms, ov)
+		var h *gpu.QueryStream
+		if e.node != nil {
+			h = e.node.AdmitOn(e.placeDevice(terms))
+			defer h.Release()
+		}
+		return e.search(ctx, terms, h, ov)
 	}
 	var h *gpu.QueryStream
 	if e.node != nil && !opts.ForceCPU {
@@ -43,13 +52,18 @@ func (e *Engine) SearchOptsContext(ctx context.Context, terms []string, ov *exec
 	return e.searchOpts(ctx, terms, h, ov, opts)
 }
 
-// SearchOptsAtContext is SearchOverlayAtContext with overload options
-// (explicit arrival on the global timeline). A zero opts delegates to
-// the legacy path unchanged; a budget rejection leaves the device
-// timeline untouched, so shed arrivals are invisible to later queries.
+// SearchOptsAtContext is SearchOptsContext with an explicit arrival on
+// the global timeline (see SearchAt). A zero opts takes the legacy path
+// unchanged; a budget rejection leaves the device timeline untouched, so
+// shed arrivals are invisible to later queries.
 func (e *Engine) SearchOptsAtContext(ctx context.Context, terms []string, arrival time.Duration, ov *exec.Overlay, opts SearchOptions) (*Result, error) {
 	if opts == (SearchOptions{}) {
-		return e.SearchOverlayAtContext(ctx, terms, arrival, ov)
+		var h *gpu.QueryStream
+		if e.node != nil {
+			h = e.node.AdmitAtOn(e.placeDeviceAt(terms, arrival), arrival)
+			defer h.Release()
+		}
+		return e.search(ctx, terms, h, ov)
 	}
 	var h *gpu.QueryStream
 	if e.node != nil && !opts.ForceCPU {

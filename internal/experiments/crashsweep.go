@@ -5,6 +5,7 @@ import (
 	"os"
 	"time"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/index"
@@ -84,10 +85,11 @@ func crashCorpus(cfg Config) (*workload.Corpus, []workload.Query, error) {
 }
 
 // RunCrashSweep measures acknowledged-write survival and recovery time
-// against checkpoint interval on a durable live engine (BENCH_PR10's
-// robustness study). Every trial crashes at a seeded point in the same
-// mutation script — odd trials through an injected torn append, so the
-// log ends mid-record — and reopens the directory. Two arms per trial:
+// against checkpoint interval on a durable single node — a one-shard
+// live cluster (BENCH_PR10's robustness study). Every trial crashes at a
+// seeded point in the same mutation script — odd trials through an
+// injected torn append, so the log ends mid-record — and reopens the
+// directory. Two arms per trial:
 // sync-every-append, whose survival must be 100% at every cadence (the
 // ack barrier is the invariant under test), and deferred sync, whose
 // survival is whatever the last checkpoint covered — the cost of
@@ -135,8 +137,12 @@ func RunCrashSweep(cfg Config) (CrashSweepResult, *Table, error) {
 					return loadsim.CrashResult{}, err
 				}
 				defer os.RemoveAll(dir)
-				ecfg := ingest.Config{
-					Engine: core.Config{Mode: core.CPUOnly, CPU: cfg.CPU},
+				ecfg := ingest.ClusterConfig{
+					Shards: 1,
+					Cluster: cluster.Config{
+						Engine: core.Config{Mode: core.CPUOnly, CPU: cfg.CPU},
+						CPU:    cfg.CPU,
+					},
 					WALDir: dir, WALSyncEvery: syncEvery,
 				}
 				if inject {
@@ -144,7 +150,7 @@ func RunCrashSweep(cfg Config) (CrashSweepResult, *Table, error) {
 					// the tail syncs corrupted, the log wedges, and the
 					// mutation is never acknowledged — recovery must
 					// truncate it away, not replay it.
-					ecfg.Fault = fault.NewInjector(fault.Plan{
+					ecfg.Cluster.Fault = fault.NewInjector(fault.Plan{
 						Seed: cfg.Seed + int64(trial)*131,
 						Rules: []fault.Rule{{
 							Kind: fault.TornWrite, Rate: 1,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/index"
 	"griffin/internal/ingest"
@@ -46,9 +47,9 @@ type IngestSweepPoint struct {
 }
 
 // IngestSweepResult is the live-mutation study: the same Poisson stream
-// of mixed reads and writes driven through a live engine with
-// background merging disabled and enabled at increasing write
-// fractions.
+// of mixed reads and writes driven through a single live node (a
+// one-shard live cluster) with background merging disabled and enabled
+// at increasing write fractions.
 //
 // The mechanism under test: without merging, reads stay snapshot-
 // isolated but each one reconciles an ever-growing delta on the host
@@ -146,14 +147,21 @@ func RunIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
 		threshold = 16
 	}
 
-	mkEngine := func(merge bool) (*ingest.Engine, error) {
-		ecfg := ingest.Config{
-			Engine: core.Config{Mode: core.Hybrid, CPU: cfg.CPU, Device: cfg.Device},
+	// A single node is the one-shard live cluster on the suite's device
+	// model.
+	mkEngine := func(merge bool) (*ingest.Cluster, error) {
+		lcfg := ingest.ClusterConfig{
+			Shards: 1,
+			Cluster: cluster.Config{
+				Engine:      core.Config{Mode: core.Hybrid, CPU: cfg.CPU},
+				CPU:         cfg.CPU,
+				DeviceModel: *cfg.Device.Model(),
+			},
 		}
 		if merge {
-			ecfg.MergeThreshold = threshold
+			lcfg.MergeThreshold = threshold
 		}
-		return ingest.New(c.Index, ecfg)
+		return ingest.NewCluster(c.Index, lcfg)
 	}
 
 	// Calibrate moderate load off the contention-free mean: enough

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -66,7 +67,6 @@ type ClusterConfig struct {
 // and the delta absorbing the shard's mutations. Guarded by Cluster.mu.
 type shardState struct {
 	ix   *index.Index
-	st   mainStats
 	d    *delta
 	live int // live documents routed to this shard (watermark signal)
 }
@@ -201,11 +201,42 @@ type ClusterStats struct {
 }
 
 // Lag returns the pending records not yet folded into shard segments —
-// the cluster's freshness signal (the analogue of Stats.Lag).
+// the freshness signal /healthz compares against its threshold.
 func (s ClusterStats) Lag() uint64 { return uint64(s.DeltaDocs) }
 
+// ErrClosed is returned by mutations, merges, and queries issued after
+// Close.
+var ErrClosed = errors.New("ingest: engine closed")
+
+// CodecAuto asks NewCluster/OpenCluster to detect the codec from the
+// seed index.
+const CodecAuto index.Codec = -1
+
+// detectCodec mirrors workload.PartitionIndex's probe: any term with a
+// PForDelta form means the index was built with CodecBoth.
+func detectCodec(ix *index.Index) index.Codec {
+	for _, t := range ix.Terms() {
+		pl, _ := ix.Lookup(t)
+		if pl.PFD != nil {
+			return index.CodecBoth
+		}
+		return index.CodecEF
+	}
+	return index.CodecEF
+}
+
+type mutKind int
+
+const (
+	mutAdd mutKind = iota
+	mutUpdate
+	mutDelete
+)
+
 // NewCluster builds a live-ingestion cluster over a seed index,
-// partitioned into cfg.Shards shards.
+// partitioned into cfg.Shards shards. The seed may be empty
+// (index.NewBuilder(...).Build() with no documents) to start from a
+// blank corpus; a single node is Shards: 1.
 func NewCluster(seed *index.Index, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -267,7 +298,7 @@ func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
 	}
 	t := &topo{n: n, c: cc, shards: make([]*shardState, n)}
 	for s, ix := range ixs {
-		t.shards[s] = &shardState{ix: ix, st: statsOf(ix), d: newDelta()}
+		t.shards[s] = &shardState{ix: ix, d: newDelta()}
 	}
 	for d, l := range c.liveLens {
 		if l > 0 {
@@ -485,7 +516,7 @@ func (c *Cluster) publishLocked() {
 		if prev != nil && prev.topo == t && prev.mains[i] == sh.ix && prev.views[i].gen == sh.d.gen {
 			v = prev.views[i]
 		} else {
-			v = sh.d.freeze(sh.st)
+			v = sh.d.freeze()
 		}
 		views[i] = v
 		if !v.Empty() {
@@ -544,17 +575,12 @@ type ClusterResult struct {
 // Search scatter-gathers one conjunctive query against the freshest
 // cluster snapshot.
 func (c *Cluster) Search(terms []string) (*ClusterResult, error) {
-	return c.SearchContext(nil, terms)
+	return c.search(nil, terms, 0, false, cluster.QueryOpts{})
 }
 
-// SearchContext is Search with a cancellation context.
-func (c *Cluster) SearchContext(ctx context.Context, terms []string) (*ClusterResult, error) {
-	return c.search(ctx, terms, 0, false, cluster.QueryOpts{})
-}
-
-// SearchOptsContext is SearchContext with per-query overload options
-// (deadline budget, criticality class), threaded through to the
-// underlying cluster. Zero opts is SearchContext exactly.
+// SearchOptsContext is Search with a cancellation context and per-query
+// overload options (deadline budget, criticality class), threaded
+// through to the underlying cluster. Zero opts is Search exactly.
 func (c *Cluster) SearchOptsContext(ctx context.Context, terms []string, qo cluster.QueryOpts) (*ClusterResult, error) {
 	return c.search(ctx, terms, 0, false, qo)
 }
@@ -703,7 +729,7 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 		return fmt.Errorf("ingest: merge shard %d of %d", s, t.n)
 	}
 	sh := t.shards[s]
-	v := sh.d.freeze(sh.st)
+	v := sh.d.freeze()
 	main := sh.ix
 	c.mu.Unlock()
 	if v.Empty() {
@@ -788,7 +814,6 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 	}
 	sh.d.drop(upto)
 	sh.ix = ix2
-	sh.st = statsOf(ix2)
 	c.exact = false
 	c.publishLocked()
 	c.mu.Unlock()
@@ -839,7 +864,7 @@ func (c *Cluster) rebuild(n int) error {
 		n = t.n
 	}
 
-	global, err := c.globalBuildLocked(t)
+	global, err := c.globalBuild(c.captureLocked(t))
 	if err != nil {
 		return err
 	}
@@ -871,20 +896,45 @@ func (c *Cluster) rebuild(n int) error {
 	return nil
 }
 
-// globalBuildLocked folds every shard's (shadow-filtered main ∪ delta)
-// into one global index over the live corpus — the exact build a fresh
-// ingestion-free corpus would produce. Caller holds c.mu.
-func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
+// globalInput is what a whole-corpus build reads: each shard's main
+// segment with a frozen view of its delta, and the live document-length
+// table. Views and segments are immutable and liveLens is a copy, so the
+// build itself runs without the writer lock.
+type globalInput struct {
+	mains    []*index.Index
+	views    []*View
+	liveLens []uint32
+}
+
+// captureLocked snapshots the build input of topology t. Caller holds
+// c.mu.
+func (c *Cluster) captureLocked(t *topo) globalInput {
+	in := globalInput{
+		mains:    make([]*index.Index, t.n),
+		views:    make([]*View, t.n),
+		liveLens: append([]uint32(nil), c.liveLens[:min(len(c.liveLens), c.numDocs)]...),
+	}
+	for s, sh := range t.shards {
+		in.mains[s] = sh.ix
+		in.views[s] = sh.d.freeze()
+	}
+	return in
+}
+
+// globalBuild folds every shard's (shadow-filtered main ∪ delta) into one
+// global index over the live corpus — the exact build a fresh
+// ingestion-free corpus would produce.
+func (c *Cluster) globalBuild(in globalInput) (*index.Index, error) {
 	type slice struct {
 		ids   []uint32
 		freqs []uint32
 	}
 	terms := make(map[string][]slice)
-	for _, sh := range t.shards {
-		v := sh.d.freeze(sh.st)
+	for s, main := range in.mains {
+		v := in.views[s]
 		seen := make(map[string]bool)
-		for _, term := range sh.ix.Terms() {
-			pl, _ := sh.ix.Lookup(term)
+		for _, term := range main.Terms() {
+			pl, _ := main.Lookup(term)
 			ids, freqs := mergePostings(pl, pl.DocIDs(), v, term)
 			seen[term] = true
 			if len(ids) > 0 {
@@ -930,9 +980,9 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 			return nil, fmt.Errorf("ingest: rebuild term %q: %w", term, err)
 		}
 	}
-	for d := 0; d < c.numDocs && d < len(c.liveLens); d++ {
-		if c.liveLens[d] > 0 {
-			b.SetDocLen(uint32(d), c.liveLens[d])
+	for d, l := range in.liveLens {
+		if l > 0 {
+			b.SetDocLen(uint32(d), l)
 		}
 	}
 	return b.Build()

@@ -1,14 +1,17 @@
 // Package ingest is Griffin's write path: a live-mutation layer over the
-// read-only engine. An in-memory delta index absorbs Add/Update/Delete
-// with whole-document records and a tombstone set; reads are
-// snapshot-isolated — each query pins an immutable (main segment, delta
-// generation) pair, so concurrent mutations never tear a result and a
-// quiesced engine is byte-identical to one freshly built over the same
-// logical corpus. A background merger re-encodes delta postings into the
-// compressed main index through the ordinary index.Builder codecs
-// (Elias-Fano / PForDelta), priced on the shared device and CPU
-// timelines so merge/query interference is visible, and swaps the new
-// segment in atomically with epoch-based retirement of the old snapshot.
+// document-partitioned serving cluster (a single node is the one-shard
+// case). Per-shard in-memory deltas absorb Add/Update/Delete with
+// whole-document records and a tombstone set; reads are
+// snapshot-isolated — each query pins an immutable set of (shard
+// segment, frozen delta view) pairs with global collection statistics,
+// so concurrent mutations never tear a result and a quiesced cluster is
+// byte-identical to one freshly built over the same logical corpus.
+// Background merges re-encode a shard's delta postings into its
+// compressed segment through the ordinary index.Builder codecs
+// (Elias-Fano / PForDelta), priced on the shard's device and CPU
+// timelines so merge/query interference is visible, and swap the new
+// segment in behind a commit gate. An optional write-ahead log makes
+// every acknowledged mutation durable (OpenCluster).
 package ingest
 
 import (
@@ -37,8 +40,9 @@ type docRecord struct {
 // live reports whether the record carries a living document version.
 func (r *docRecord) live() bool { return !r.deleted }
 
-// delta is the writer-side mutable state, guarded by the owning engine's
-// writer lock. Reads never touch it: they pin a frozen View instead.
+// delta is one shard's writer-side mutable state, guarded by the
+// cluster's writer lock. Reads never touch it: they pin a frozen View
+// instead.
 type delta struct {
 	// gen counts mutations; the frozen view lags it until the next freeze.
 	gen uint64
@@ -143,11 +147,9 @@ func IsInvalid(err error) bool {
 }
 
 // freeze builds the immutable View for the writer's current generation,
-// reusing the previous view's posting slices for clean terms. st
-// describes the main segment the view overlays (its aggregate document
-// statistics), so the view can carry the snapshot's exact collection
-// statistics. Caller holds the writer lock.
-func (d *delta) freeze(st mainStats) *View {
+// reusing the previous view's posting slices for clean terms. Caller
+// holds the writer lock.
+func (d *delta) freeze() *View {
 	prev := d.frozen
 	v := &View{
 		gen:      d.gen,
@@ -178,8 +180,6 @@ func (d *delta) freeze(st mainStats) *View {
 		v.postings[t] = ids
 	}
 	d.dirty = make(map[string]struct{})
-
-	v.computeStats(st)
 	d.frozen = v
 	return v
 }

@@ -27,9 +27,10 @@ func OpenCluster(seed *index.Index, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	// Resolve the codec from the caller's seed, not the checkpoint (the
-	// checkpoint round-trips through the EF-only serialized form; see
-	// Open).
+	// Resolve the codec from the caller's seed, not the checkpoint: a
+	// checkpoint round-trips through the EF-only serialized form, and
+	// auto-detection against it would silently drop a CodecBoth
+	// configuration after the first recovery.
 	if cfg.Codec == CodecAuto {
 		cfg.Codec = detectCodec(seed)
 	}
@@ -84,6 +85,32 @@ func OpenCluster(seed *index.Index, cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// resolveSyncEvery maps the config knob to the store's policy: 0 (unset)
+// means the durable default of syncing every append; negative means sync
+// only at checkpoints, explicit syncs, and close.
+func resolveSyncEvery(v int) int {
+	switch {
+	case v == 0:
+		return 1
+	case v < 0:
+		return 0
+	default:
+		return v
+	}
+}
+
+// walOp maps a mutation kind to its WAL record op.
+func walOp(kind mutKind) wal.Op {
+	switch kind {
+	case mutAdd:
+		return wal.OpAdd
+	case mutUpdate:
+		return wal.OpUpdate
+	default:
+		return wal.OpDelete
+	}
+}
+
 // kindOf maps a WAL record op back to its mutation kind (walOp's
 // inverse).
 func kindOf(op wal.Op) mutKind {
@@ -101,7 +128,9 @@ func kindOf(op wal.Op) mutKind {
 // shadow-filtered main unioned with its delta, the exact rebuild
 // input — with the current generation watermark, so the next recovery
 // replays only the WAL suffix past it. The serving topology is
-// untouched: checkpointing is a read-side fold, not a rebuild. No-op
+// untouched: checkpointing is a read-side fold, not a rebuild. The
+// writer lock is held only to capture the build input, so writes and
+// fresh-snapshot reads proceed while the whole-corpus build runs. No-op
 // without a WAL.
 func (c *Cluster) Checkpoint() error {
 	if c.store == nil {
@@ -114,8 +143,9 @@ func (c *Cluster) Checkpoint() error {
 	}
 	c.mu.Lock()
 	wm := c.gen
-	global, err := c.globalBuildLocked(c.t)
+	in := c.captureLocked(c.t)
 	c.mu.Unlock()
+	global, err := c.globalBuild(in)
 	if err != nil {
 		return fmt.Errorf("ingest: checkpoint build: %w", err)
 	}

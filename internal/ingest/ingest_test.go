@@ -9,15 +9,18 @@ import (
 	"testing"
 	"time"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
+	"griffin/internal/kernels"
+	"griffin/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
-// Logical corpus: the ground truth a live engine and a fresh build must agree
+// Logical corpus: the ground truth a live cluster and a fresh build must agree
 // on. Documents are token streams; building is index.Builder.AddDocument in
 // ascending docID order — exactly what a from-scratch ingestion would do.
 // ---------------------------------------------------------------------------
@@ -81,7 +84,7 @@ func seedCorpus(seed int64, docs, vocab int) *logicalCorpus {
 }
 
 // mutation is one scripted Add/Update/Delete, applied identically to the
-// live engine and the logical corpus.
+// live cluster and the logical corpus.
 type mutation struct {
 	kind   mutKind
 	docID  uint32
@@ -128,24 +131,56 @@ func genScript(seed int64, c *logicalCorpus, n, vocab int) []mutation {
 	return out
 }
 
-// apply replays one mutation into both the live engine and the logical
+// apply replays one mutation into both the live cluster and the logical
 // corpus, keeping them in lockstep.
-func apply(t testing.TB, e *Engine, c *logicalCorpus, m mutation) {
+func apply(t testing.TB, c *Cluster, lc *logicalCorpus, m mutation) {
 	t.Helper()
-	var err error
+	if err := mutate(c, m); err != nil {
+		t.Fatalf("mutation %+v: %v", m, err)
+	}
+	applyLogical(lc, m)
+}
+
+// mutate issues one scripted mutation against the live cluster.
+func mutate(c *Cluster, m mutation) error {
 	switch m.kind {
 	case mutAdd:
-		err = e.Add(m.docID, m.tokens)
-		c.docs[m.docID] = m.tokens
+		return c.Add(m.docID, m.tokens)
 	case mutUpdate:
-		err = e.Update(m.docID, m.tokens)
-		c.docs[m.docID] = m.tokens
-	case mutDelete:
-		err = e.Delete(m.docID)
-		delete(c.docs, m.docID)
+		return c.Update(m.docID, m.tokens)
+	default:
+		return c.Delete(m.docID)
 	}
+}
+
+// applyLogical applies one mutation to the logical corpus only.
+func applyLogical(lc *logicalCorpus, m mutation) {
+	if m.kind == mutDelete {
+		delete(lc.docs, m.docID)
+	} else {
+		lc.docs[m.docID] = m.tokens
+	}
+}
+
+// newLive builds a live cluster over the logical corpus's fresh build.
+func newLive(t testing.TB, lc *logicalCorpus, cfg ClusterConfig) *Cluster {
+	t.Helper()
+	c, err := NewCluster(lc.build(t, index.CodecEF), cfg)
 	if err != nil {
-		t.Fatalf("mutation %+v: %v", m, err)
+		t.Fatal(err)
+	}
+	return c
+}
+
+// cpuConfig is a CPU-only live cluster configuration at n shards.
+func cpuConfig(n int) ClusterConfig {
+	return ClusterConfig{Shards: n, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}}}
+}
+
+// forShards runs body once per shard count as a "shards=n" subtest.
+func forShards(t *testing.T, counts []int, body func(t *testing.T, n int)) {
+	for _, n := range counts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { body(t, n) })
 	}
 }
 
@@ -174,9 +209,9 @@ type docBits struct {
 	Bits  uint32
 }
 
-func bitsOf(r *core.Result) []docBits {
-	out := make([]docBits, len(r.Docs))
-	for i, d := range r.Docs {
+func bitsOf(docs []kernels.ScoredDoc) []docBits {
+	out := make([]docBits, len(docs))
+	for i, d := range docs {
 		out[i] = docBits{DocID: d.DocID, Bits: math.Float32bits(d.Score)}
 	}
 	return out
@@ -194,39 +229,58 @@ func sameDocs(a, b []docBits) bool {
 	return true
 }
 
-// checkLiveParity asserts the live engine's ranked results are bit-identical
-// to a freshly built engine over the same logical corpus, for every query in
-// the log.
-func checkLiveParity(t *testing.T, e *Engine, c *logicalCorpus, queries [][]string, tag string) {
+// freshBits is the reference answer: a single engine freshly built over
+// the logical corpus (its default top-k, 10, matches the cluster's).
+func freshBits(t testing.TB, eng *core.Engine, q []string) ([]docBits, int) {
 	t.Helper()
-	fresh, err := core.New(c.build(t, index.CodecEF), core.Config{Mode: core.CPUOnly})
+	r, err := eng.Search(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return bitsOf(r.Docs), r.Stats.Candidates
+}
+
+// checkLiveParity asserts the live cluster's ranked results and
+// candidate counts are bit-identical to a freshly built single engine
+// over the same logical corpus, for every query in the log: the
+// scatter-gather merge reproduces the single-engine top-k whenever
+// per-shard scores carry global statistics, live or stamped, and the
+// shards' live candidate sets partition the engine's.
+func checkLiveParity(t *testing.T, c *Cluster, lc *logicalCorpus, queries [][]string, tag string) {
+	t.Helper()
+	fresh, err := core.New(lc.build(t, index.CodecEF), core.Config{Mode: core.CPUOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
 	for qi, q := range queries {
-		lr, err := e.Search(q)
+		cr, err := c.Search(q)
 		if err != nil {
 			t.Fatalf("%s q%d live: %v", tag, qi, err)
 		}
-		fr, err := fresh.Search(q)
-		if err != nil {
-			t.Fatalf("%s q%d fresh: %v", tag, qi, err)
+		fb, fc := freshBits(t, fresh, q)
+		cand := 0
+		for _, ss := range cr.Stats.Shards {
+			cand += ss.Query.Candidates
 		}
-		if lr.Stats.Candidates != fr.Stats.Candidates {
-			t.Errorf("%s q%d %v: candidates live=%d fresh=%d",
-				tag, qi, q, lr.Stats.Candidates, fr.Stats.Candidates)
+		if cand != fc {
+			t.Errorf("%s q%d %v: candidates live=%d fresh=%d", tag, qi, q, cand, fc)
 		}
-		if lb, fb := bitsOf(lr.Result), bitsOf(fr); !sameDocs(lb, fb) {
-			t.Errorf("%s q%d %v: docs diverge\n live=%v\nfresh=%v", tag, qi, q, lb, fb)
+		if cb := bitsOf(cr.Docs); !sameDocs(cb, fb) {
+			t.Errorf("%s q%d %v: docs diverge\n live=%v\nfresh=%v", tag, qi, q, cb, fb)
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Live parity: results during active mutation, CPU-only and hybrid.
+// Live parity: results during active mutation, CPU-only and hybrid. A
+// single node is the one-shard cluster; the sharded variant runs the same
+// body (TestClusterLiveParity).
 // ---------------------------------------------------------------------------
 
-func TestLiveParity(t *testing.T) {
+func TestLiveParity(t *testing.T) { testLiveParity(t, 1) }
+
+func testLiveParity(t *testing.T, shards int) {
 	const vocab = 16
 	base := seedCorpus(11, 120, vocab)
 	script := genScript(12, base.clone(), 90, vocab)
@@ -238,48 +292,60 @@ func TestLiveParity(t *testing.T) {
 
 	modes := map[string]core.Config{
 		"cpu":    {Mode: core.CPUOnly},
-		"hybrid": {Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
+		"hybrid": {Mode: core.Hybrid},
 	}
-	for name, cfg := range modes {
+	for name, ecfg := range modes {
 		t.Run(name, func(t *testing.T) {
-			c := base.clone()
-			e, err := New(c.build(t, index.CodecEF), Config{Engine: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
+			lc := base.clone()
+			c := newLive(t, lc, ClusterConfig{Shards: shards, Cluster: cluster.Config{Engine: ecfg}})
+			defer c.Close()
 			queries := queryLog(vocab)
+			checkLiveParity(t, c, lc, queries, "seed")
 			for i, m := range script {
-				apply(t, e, c, m)
+				apply(t, c, lc, m)
 				if (i+1)%15 == 0 || i == len(script)-1 {
-					checkLiveParity(t, e, c, queries, fmt.Sprintf("step%d", i+1))
+					checkLiveParity(t, c, lc, queries, fmt.Sprintf("step%d", i+1))
+				}
+				if i == len(script)/2 {
+					// Mid-life shard merges: segments swap under traffic,
+					// stats stamps go best-effort, parity holds.
+					for s := 0; s < shards; s++ {
+						if err := c.MergeShard(s); err != nil {
+							t.Fatalf("merge shard %d: %v", s, err)
+						}
+					}
+					checkLiveParity(t, c, lc, queries, "post-merge")
 				}
 			}
-			if got, want := e.Gen(), uint64(len(script)); got != want {
+			if got, want := c.Gen(), uint64(len(script)); got != want {
 				t.Errorf("gen = %d, want %d", got, want)
 			}
-			st := e.Stats()
+			st := c.Stats()
 			if st.Adds+st.Updates+st.Deletes != int64(len(script)) {
 				t.Errorf("mutation counters %d+%d+%d != %d", st.Adds, st.Updates, st.Deletes, len(script))
 			}
-			// Merge mid-life, then keep mutating: parity must survive the swap.
-			if err := e.Merge(); err != nil {
-				t.Fatal(err)
+			if st.Merges != int64(shards) {
+				t.Errorf("merges = %d, want %d", st.Merges, shards)
 			}
-			extra := genScript(13, c.clone(), 30, vocab)
-			for _, m := range extra {
-				apply(t, e, c, m)
+			if st.Shards != shards || len(st.ShardDocs) != shards {
+				t.Errorf("shards = %d (docs %v), want %d", st.Shards, st.ShardDocs, shards)
 			}
-			checkLiveParity(t, e, c, queries, "post-merge")
+			// Keep mutating past the merges: parity survives the swaps.
+			for _, m := range genScript(13, lc.clone(), 30, vocab) {
+				apply(t, c, lc, m)
+			}
+			checkLiveParity(t, c, lc, queries, "post-merge-mutations")
 		})
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Quiesced golden parity: after Quiesce the engine must be byte-identical to
-// a freshly built engine over the same logical corpus — docs, candidate
-// counts, migration decisions, op traces, and simulated timings — at one and
-// two devices, with the batching stage off and on.
+// Quiesced golden parity: after Quiesce the live cluster must be
+// byte-identical to a cluster freshly built over the same logical corpus —
+// docs, candidate counts, migration decisions, op traces, and simulated
+// timings — at one and two devices, with the batching stage off and on. At
+// one shard each shard record must also match a fresh single engine: the
+// one-shard cluster *is* the single node.
 // ---------------------------------------------------------------------------
 
 type goldenOp struct {
@@ -314,25 +380,23 @@ type goldenQuery struct {
 	Plan       []goldenPlanOp
 }
 
-func golden(r *core.Result) goldenQuery {
+func golden(docs []kernels.ScoredDoc, st core.QueryStats) goldenQuery {
 	g := goldenQuery{
-		Docs:       bitsOf(r),
-		Candidates: r.Stats.Candidates,
-		Migrated:   r.Stats.Migrated,
-		GPUWaitNS:  int64(r.Stats.GPUWait),
-		LatencyNS:  int64(r.Stats.Latency),
+		Docs:       bitsOf(docs),
+		Candidates: st.Candidates,
+		Migrated:   st.Migrated,
+		GPUWaitNS:  int64(st.GPUWait),
+		LatencyNS:  int64(st.Latency),
 	}
-	for _, op := range r.Stats.Ops {
+	for _, op := range st.Ops {
 		g.Ops = append(g.Ops, goldenOp{
 			Stage: op.Stage, Where: op.Where.String(), Ratio: op.Ratio,
 			ShortLen: op.ShortLen, LongLen: op.LongLen, OutLen: op.OutLen,
 			TookNS: int64(op.Took),
 		})
 	}
-	for _, op := range r.Stats.Plan {
-		// BatchID is a device-lifetime counter, deliberately excluded: the
-		// live engine's devices served merge traffic before the quiesced
-		// queries ran.
+	for _, op := range st.Plan {
+		// BatchID is a device-lifetime counter, deliberately excluded.
 		g.Plan = append(g.Plan, goldenPlanOp{
 			Kind: op.Kind.String(), Where: op.Where.String(), Device: op.Device,
 			Peer: op.Peer, Term: op.Term, NIn: op.NIn, NOut: op.NOut,
@@ -342,281 +406,343 @@ func golden(r *core.Result) goldenQuery {
 	return g
 }
 
-func TestQuiescedGoldenParity(t *testing.T) {
-	const vocab = 16
-	base := seedCorpus(21, 150, vocab)
-	script := genScript(22, base.clone(), 80, vocab)
+// clusterGolden renders the comparison-relevant portion of a cluster
+// result: ranked docs (bit-exact scores), the scatter-gather timing, and
+// each shard's full execution record.
+func clusterGolden(r *cluster.Result) string {
+	s := fmt.Sprintf("docs=%v lat=%v max=%v merge=%v",
+		bitsOf(r.Docs), r.Stats.Latency, r.Stats.MaxShard, r.Stats.MergeTime)
+	for _, sh := range r.Stats.Shards {
+		s += fmt.Sprintf(" [s%dr%d eff=%v cpu=%v gpu=%v %+v]",
+			sh.Shard, sh.Replica, sh.Effective, sh.Query.CPUTime, sh.Query.GPUTime, golden(nil, sh.Query))
+	}
+	return s
+}
 
+func TestQuiescedGoldenParity(t *testing.T) {
 	for _, devices := range []int{1, 2} {
 		for _, batch := range []time.Duration{0, 200 * time.Microsecond} {
 			name := fmt.Sprintf("devices=%d/batch=%v", devices, batch > 0)
 			t.Run(name, func(t *testing.T) {
-				mkCfg := func() core.Config {
-					return core.Config{
-						Mode:        core.Hybrid,
-						Device:      gpu.New(hwmodel.DefaultGPU(), 0),
-						Devices:     devices,
-						BatchWindow: batch,
-					}
-				}
-				c := base.clone()
-				e, err := New(c.build(t, index.CodecEF), Config{Engine: mkCfg()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				for _, m := range script {
-					apply(t, e, c, m)
-				}
-				// Serve a few queries against the un-merged delta first: the
-				// quiesced state must not depend on prior read traffic.
-				for _, q := range queryLog(vocab)[:4] {
-					if _, err := e.Search(q); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := e.Quiesce(); err != nil {
-					t.Fatal(err)
-				}
-				if lag := e.Stats().Lag(); lag != 0 {
-					t.Fatalf("post-quiesce lag = %d", lag)
-				}
-
-				fresh, err := core.New(c.build(t, index.CodecEF), mkCfg())
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qi, q := range queryLog(vocab) {
-					lr, err := e.Search(q)
-					if err != nil {
-						t.Fatalf("q%d live: %v", qi, err)
-					}
-					fr, err := fresh.Search(q)
-					if err != nil {
-						t.Fatalf("q%d fresh: %v", qi, err)
-					}
-					lg, fg := golden(lr.Result), golden(fr)
-					if fmt.Sprintf("%+v", lg) != fmt.Sprintf("%+v", fg) {
-						t.Errorf("q%d %v: quiesced engine diverges from fresh build\n live=%+v\nfresh=%+v",
-							qi, q, lg, fg)
-					}
-				}
+				testQuiescedGoldenParity(t, 1, core.Config{
+					Mode: core.Hybrid, Devices: devices, BatchWindow: batch,
+				}, index.CodecEF)
 			})
 		}
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Merged segment vs fresh build: the re-encoded index must match a from-
-// scratch build structurally — same dictionary, same compressed blocks
-// (both codecs), same statistics — including tombstone-only lists (term
-// leaves the dictionary) and delta-only terms (term enters it).
-// ---------------------------------------------------------------------------
+func testQuiescedGoldenParity(t *testing.T, shards int, ecfg core.Config, codec index.Codec) {
+	const vocab = 16
+	lc := seedCorpus(21, 150, vocab)
+	script := genScript(22, lc.clone(), 80, vocab)
 
-func TestMergedIndexMatchesFreshBuild(t *testing.T) {
-	c := newLogicalCorpus()
-	// Hand-built corpus: "rare" lives only in docs 3 and 7; "solo" only in
-	// doc 5. Deleting 3+7 must drop "rare" from the merged dictionary.
-	for id := 0; id < 40; id++ {
-		toks := []string{word(id % 4), word(id % 7), word(0)}
-		switch id {
-		case 3, 7:
-			toks = append(toks, "rare")
-		case 5:
-			toks = append(toks, "solo", "solo")
-		}
-		c.docs[uint32(id)] = toks
-	}
-	e, err := New(c.build(t, index.CodecBoth), Config{
-		Engine: core.Config{Mode: core.CPUOnly},
-		Codec:  CodecAuto,
-	})
+	ccfg := cluster.Config{Engine: ecfg}
+	live, err := NewCluster(lc.build(t, codec), ClusterConfig{Shards: shards, Cluster: ccfg, Codec: CodecAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-
-	// An empty-delta merge is a no-op.
-	if err := e.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().Merges != 0 {
-		t.Fatalf("empty merge committed: %+v", e.Stats())
-	}
-
-	muts := []mutation{
-		{kind: mutDelete, docID: 3},
-		{kind: mutDelete, docID: 7}, // "rare" now tombstone-only
-		{kind: mutUpdate, docID: 5, tokens: []string{word(0), word(1), "newterm"}},
-		{kind: mutAdd, docID: 64, tokens: []string{"newterm", word(2), word(2)}},
-		{kind: mutUpdate, docID: 12, tokens: []string{word(3), word(3), word(5)}},
-	}
-	for _, m := range muts {
-		apply(t, e, c, m)
-	}
-	if err := e.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, want := e.Index(), c.build(t, index.CodecBoth)
-	if got.NumDocs != want.NumDocs {
-		t.Errorf("NumDocs = %d, want %d", got.NumDocs, want.NumDocs)
-	}
-	if got.AvgDocLen != want.AvgDocLen {
-		t.Errorf("AvgDocLen = %v, want %v", got.AvgDocLen, want.AvgDocLen)
-	}
-	if fmt.Sprint(got.DocLens) != fmt.Sprint(want.DocLens) {
-		t.Errorf("DocLens diverge:\n got=%v\nwant=%v", got.DocLens, want.DocLens)
-	}
-	gt, wt := got.Terms(), want.Terms()
-	if fmt.Sprint(gt) != fmt.Sprint(wt) {
-		t.Fatalf("dictionaries diverge:\n got=%v\nwant=%v", gt, wt)
-	}
-	if _, ok := got.Lookup("rare"); ok {
-		t.Error("fully tombstoned term 'rare' still in merged dictionary")
-	}
-	if _, ok := got.Lookup("newterm"); !ok {
-		t.Error("delta-only term 'newterm' missing from merged dictionary")
-	}
-	for _, term := range wt {
-		gp, _ := got.Lookup(term)
-		wp, _ := want.Lookup(term)
-		if gp.N != wp.N {
-			t.Errorf("term %q: N = %d, want %d", term, gp.N, wp.N)
-			continue
-		}
-		if fmt.Sprint(gp.EF.Decompress()) != fmt.Sprint(wp.EF.Decompress()) {
-			t.Errorf("term %q: EF postings diverge", term)
-		}
-		if (gp.PFD == nil) != (wp.PFD == nil) {
-			t.Errorf("term %q: PFD presence %v vs %v", term, gp.PFD != nil, wp.PFD != nil)
-		} else if gp.PFD != nil && fmt.Sprint(gp.PFD.Decompress()) != fmt.Sprint(wp.PFD.Decompress()) {
-			t.Errorf("term %q: PFD postings diverge", term)
-		}
-		for i := 0; i < gp.N; i++ {
-			if gp.FreqOf(i) != wp.FreqOf(i) {
-				t.Errorf("term %q: freq[%d] = %d, want %d", term, i, gp.FreqOf(i), wp.FreqOf(i))
-				break
+	defer live.Close()
+	queries := queryLog(vocab)
+	for i, m := range script {
+		apply(t, live, lc, m)
+		if i%17 == 0 { // keep read traffic flowing while mutating
+			if _, err := live.Search(queries[i%len(queries)]); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if fmt.Sprint(gp.Skips) != fmt.Sprint(wp.Skips) {
-			t.Errorf("term %q: skip pointers diverge", term)
+	}
+	if err := live.MergeShard(0); err != nil { // a best-effort merge first
+		t.Fatal(err)
+	}
+	if err := live.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	st := live.Stats()
+	if st.Lag() != 0 {
+		t.Fatalf("post-quiesce lag = %d", st.Lag())
+	}
+	if st.Rebuilds != 1 {
+		t.Errorf("rebuilds = %d, want 1", st.Rebuilds)
+	}
+
+	ixs, err := workload.PartitionIndex(lc.build(t, codec), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cluster.New(ixs, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	var single *core.Engine
+	if shards == 1 {
+		scfg := ecfg
+		scfg.Device = gpu.New(hwmodel.DefaultGPU(), 0)
+		if single, err = core.New(lc.build(t, codec), scfg); err != nil {
+			t.Fatal(err)
+		}
+		defer single.Close()
+	}
+	for qi, q := range queries {
+		lr, err := live.Search(q)
+		if err != nil {
+			t.Fatalf("q%d live: %v", qi, err)
+		}
+		rr, err := ref.Search(nil, q)
+		if err != nil {
+			t.Fatalf("q%d ref: %v", qi, err)
+		}
+		if got, want := clusterGolden(lr.Result), clusterGolden(rr); got != want {
+			t.Errorf("q%d %v: quiesced cluster diverges from fresh build\n live=%s\nfresh=%s", qi, q, got, want)
+		}
+		if single == nil {
+			continue
+		}
+		sr, err := single.Search(q)
+		if err != nil {
+			t.Fatalf("q%d single: %v", qi, err)
+		}
+		got := fmt.Sprintf("%+v", golden(lr.Docs, lr.Stats.Shards[0].Query))
+		if want := fmt.Sprintf("%+v", golden(sr.Docs, sr.Stats)); got != want {
+			t.Errorf("q%d %v: one-shard cluster diverges from a single engine\n live=%s\nsingle=%s", qi, q, got, want)
+		}
+		if lr.Stats.Latency != sr.Stats.Latency {
+			t.Errorf("q%d %v: one-shard latency %v != single engine %v", qi, q, lr.Stats.Latency, sr.Stats.Latency)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Merged segments vs fresh build: each shard's re-encoded segment must match
+// the same shard of a from-scratch partitioned build structurally — same
+// dictionary, same compressed blocks (both codecs), same statistics —
+// including tombstone-only lists (term leaves the dictionary) and delta-only
+// terms (term enters it), through both the per-shard merge and the Quiesce
+// rebuild.
+// ---------------------------------------------------------------------------
+
+func TestMergedIndexMatchesFreshBuild(t *testing.T) {
+	forShards(t, []int{1, 2}, func(t *testing.T, shards int) {
+		lc := newLogicalCorpus()
+		// Hand-built corpus: "rare" lives only in docs 3 and 7; "solo" only
+		// in doc 5. Deleting 3+7 must drop "rare" from the merged
+		// dictionary.
+		for id := 0; id < 40; id++ {
+			toks := []string{word(id % 4), word(id % 7), word(0)}
+			switch id {
+			case 3, 7:
+				toks = append(toks, "rare")
+			case 5:
+				toks = append(toks, "solo", "solo")
+			}
+			lc.docs[uint32(id)] = toks
+		}
+		c, err := NewCluster(lc.build(t, index.CodecBoth), ClusterConfig{
+			Shards: shards, Cluster: cpuConfig(shards).Cluster, Codec: CodecAuto,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		// An empty-delta merge is a no-op.
+		for s := 0; s < shards; s++ {
+			if err := c.MergeShard(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.Stats().Merges != 0 {
+			t.Fatalf("empty merge committed: %+v", c.Stats())
+		}
+
+		muts := []mutation{
+			{kind: mutDelete, docID: 3},
+			{kind: mutDelete, docID: 7}, // "rare" now tombstone-only
+			{kind: mutUpdate, docID: 5, tokens: []string{word(0), word(1), "newterm"}},
+			{kind: mutAdd, docID: 64, tokens: []string{"newterm", word(2), word(2)}},
+			{kind: mutUpdate, docID: 12, tokens: []string{word(3), word(3), word(5)}},
+		}
+		for _, m := range muts {
+			apply(t, c, lc, m)
+		}
+		for s := 0; s < shards; s++ {
+			if err := c.MergeShard(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkShardSegments(t, c, lc.build(t, index.CodecBoth), "merged")
+		if err := c.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		checkShardSegments(t, c, lc.build(t, index.CodecBoth), "quiesced")
+	})
+}
+
+// checkShardSegments compares every live shard segment with the same shard
+// of want partitioned at the live shard count. GlobalN is a serving stamp,
+// not structure: merged segments leave it to the query overlays.
+func checkShardSegments(t *testing.T, c *Cluster, want *index.Index, tag string) {
+	t.Helper()
+	parts, err := workload.PartitionIndex(want, c.Shards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, w := range parts {
+		got := c.Cluster().ShardIndex(s)
+		tag := fmt.Sprintf("%s shard %d", tag, s)
+		checkIndexParity(t, got, w, tag)
+		if _, ok := got.Lookup("rare"); ok {
+			t.Errorf("%s: fully tombstoned term 'rare' still in the dictionary", tag)
+		}
+		for _, term := range w.Terms() {
+			gp, _ := got.Lookup(term)
+			wp, _ := w.Lookup(term)
+			if gp == nil || gp.N != wp.N {
+				t.Errorf("%s: term %q: list %+v, want N = %d", tag, term, gp, wp.N)
+				continue
+			}
+			if fmt.Sprint(gp.EF.Decompress()) != fmt.Sprint(wp.EF.Decompress()) {
+				t.Errorf("%s: term %q: EF postings diverge", tag, term)
+			}
+			if (gp.PFD == nil) != (wp.PFD == nil) {
+				t.Errorf("%s: term %q: PFD presence %v vs %v", tag, term, gp.PFD != nil, wp.PFD != nil)
+			} else if gp.PFD != nil && fmt.Sprint(gp.PFD.Decompress()) != fmt.Sprint(wp.PFD.Decompress()) {
+				t.Errorf("%s: term %q: PFD postings diverge", tag, term)
+			}
+			for i := 0; i < gp.N; i++ {
+				if gp.FreqOf(i) != wp.FreqOf(i) {
+					t.Errorf("%s: term %q: freq[%d] = %d, want %d", tag, term, i, gp.FreqOf(i), wp.FreqOf(i))
+					break
+				}
+			}
+			if fmt.Sprint(gp.Skips) != fmt.Sprint(wp.Skips) {
+				t.Errorf("%s: term %q: skip pointers diverge", tag, term)
+			}
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Merge aborts: injected faults on the merge path abort the attempt without
-// tearing the published snapshot, and bounded retries recover.
+// tearing the published snapshot, and bounded retries recover. The shard
+// merge sites are "ingest.s<shard>.merge"; the same rules also cover the
+// serving sites ("s<shard>r<replica>"), so tests burn those opportunities
+// with throwaway queries before checking parity.
 // ---------------------------------------------------------------------------
 
-func TestMergeAbortRetries(t *testing.T) {
-	const vocab = 12
-	base := seedCorpus(31, 60, vocab)
-	c := base.clone()
-	// First two merge admissions fail, the third goes through.
-	inj := fault.NewInjector(fault.Plan{Seed: 5, Rules: []fault.Rule{
-		{Kind: fault.EngineError, Rate: 1, Until: 2},
-	}})
-	e, err := New(c.build(t, index.CodecEF), Config{
-		Engine: core.Config{Mode: core.CPUOnly},
-		Fault:  inj,
+func TestMergeAbortRetries(t *testing.T) { testMergeAbortRetries(t, 1) }
+
+func testMergeAbortRetries(t *testing.T, shards int) {
+	const vocab = 16
+	lc := seedCorpus(51, 80, vocab)
+	// First two merge admissions per site fail, the third goes through.
+	inj := fault.NewInjector(fault.Plan{
+		Seed:  7,
+		Rules: []fault.Rule{{Kind: fault.EngineError, Rate: 1, Until: 2}},
 	})
-	if err != nil {
-		t.Fatal(err)
+	cfg := cpuConfig(shards)
+	cfg.Cluster.Fault = inj
+	c := newLive(t, lc, cfg)
+	defer c.Close()
+
+	for _, m := range genScript(52, lc.clone(), 20, vocab) {
+		apply(t, c, lc, m)
 	}
-	defer e.Close()
-	for _, m := range genScript(32, c.clone(), 25, vocab) {
-		apply(t, e, c, m)
+	for s := 0; s < shards; s++ {
+		if err := c.MergeShard(s); err != nil {
+			t.Fatalf("merge shard %d should survive 2 aborts with default retries: %v", s, err)
+		}
 	}
-	if err := e.Merge(); err != nil {
-		t.Fatalf("merge should survive 2 aborts with default retries: %v", err)
+	st := c.Stats()
+	if st.Aborts != int64(2*shards) {
+		t.Errorf("aborts = %d, want %d (2 per shard merge site)", st.Aborts, 2*shards)
 	}
-	st := e.Stats()
-	if st.Aborts != 2 || st.Merges != 1 {
-		t.Errorf("aborts=%d merges=%d, want 2/1", st.Aborts, st.Merges)
+	if st.Merges != int64(shards) || st.DeltaDocs != 0 {
+		t.Errorf("merges = %d deltaDocs = %d, want %d merged clean", st.Merges, st.DeltaDocs, shards)
 	}
-	if st.DeltaDocs != 0 {
-		t.Errorf("delta not drained after successful merge: %d records", st.DeltaDocs)
+	for i := 0; i < 2; i++ {
+		_, _ = c.Search([]string{word(0)})
 	}
-	checkLiveParity(t, e, c, queryLog(vocab), "post-retry")
+	checkLiveParity(t, c, lc, queryLog(vocab), "post-retry")
 }
 
 func TestMergeAbortNeverTearsSnapshot(t *testing.T) {
-	const vocab = 12
-	base := seedCorpus(41, 60, vocab)
-	c := base.clone()
-	inj := fault.NewInjector(fault.Plan{Seed: 6, Rules: []fault.Rule{
-		{Kind: fault.EngineError, Rate: 1}, // every merge admission fails
-	}})
-	e, err := New(c.build(t, index.CodecEF), Config{
-		Engine:       core.Config{Mode: core.CPUOnly},
-		Fault:        inj,
-		MergeRetries: -1, // single attempt
+	forShards(t, []int{1, 2}, func(t *testing.T, shards int) {
+		const vocab = 12
+		lc := seedCorpus(41, 60, vocab)
+		// Each site's first admission fails: with no retries, the one merge
+		// attempt per shard aborts.
+		cfg := cpuConfig(shards)
+		cfg.Cluster.Fault = fault.NewInjector(fault.Plan{Seed: 6, Rules: []fault.Rule{
+			{Kind: fault.EngineError, Rate: 1, Until: 1},
+		}})
+		cfg.MergeRetries = -1
+		c := newLive(t, lc, cfg)
+		defer c.Close()
+		for _, m := range genScript(42, lc.clone(), 20, vocab) {
+			apply(t, c, lc, m)
+		}
+		before := c.Stats()
+		for s := 0; s < shards; s++ {
+			if err := c.MergeShard(s); !fault.IsEngineFault(err) {
+				t.Fatalf("merge shard %d error = %v, want injected engine fault", s, err)
+			}
+		}
+		after := c.Stats()
+		if after.Merges != 0 || after.Aborts != int64(shards) {
+			t.Errorf("merges=%d aborts=%d, want 0/%d", after.Merges, after.Aborts, shards)
+		}
+		if after.DeltaDocs != before.DeltaDocs || after.Gen != before.Gen ||
+			fmt.Sprint(after.ShardDelta) != fmt.Sprint(before.ShardDelta) {
+			t.Errorf("aborted merge mutated writer state: %+v vs %+v", before, after)
+		}
+		// Reads after the failed merges are still exact.
+		_, _ = c.Search([]string{word(0)})
+		checkLiveParity(t, c, lc, queryLog(vocab), "post-abort")
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for _, m := range genScript(42, c.clone(), 20, vocab) {
-		apply(t, e, c, m)
-	}
-	before := e.Stats()
-	err = e.Merge()
-	if !fault.IsEngineFault(err) {
-		t.Fatalf("merge error = %v, want injected engine fault", err)
-	}
-	after := e.Stats()
-	if after.Merges != 0 || after.Aborts != 1 {
-		t.Errorf("merges=%d aborts=%d, want 0/1", after.Merges, after.Aborts)
-	}
-	if after.DeltaDocs != before.DeltaDocs || after.Gen != before.Gen {
-		t.Errorf("aborted merge mutated writer state: %+v vs %+v", before, after)
-	}
-	if e.Stats().MergedGen != 0 {
-		t.Errorf("aborted merge advanced MergedGen to %d", e.Stats().MergedGen)
-	}
-	// Reads after the failed merge are still exact.
-	checkLiveParity(t, e, c, queryLog(vocab), "post-abort")
 }
 
 // ---------------------------------------------------------------------------
-// Merge/query interference: merge re-encoding occupies the shared device
+// Merge/query interference: merge re-encoding occupies the shard's device
 // lanes, so a query arriving behind it queues.
 // ---------------------------------------------------------------------------
 
 func TestMergeInterferenceOnSharedDevice(t *testing.T) {
-	const vocab = 16
-	base := seedCorpus(51, 400, vocab)
-	c := base.clone()
-	e, err := New(c.build(t, index.CodecEF), Config{
-		Engine: core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
+	forShards(t, []int{1, 2}, func(t *testing.T, shards int) {
+		const vocab = 16
+		lc := seedCorpus(51, 400, vocab)
+		c := newLive(t, lc, ClusterConfig{
+			Shards: shards, Cluster: cluster.Config{Engine: core.Config{Mode: core.Hybrid}},
+		})
+		defer c.Close()
+		for _, m := range genScript(52, lc.clone(), 120, vocab) {
+			apply(t, c, lc, m)
+		}
+		for s := 0; s < shards; s++ {
+			if err := c.MergeShardAt(s, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := c.Stats()
+		if st.MergeDevice <= 0 {
+			t.Errorf("merge billed no device time: %+v", st)
+		}
+		if st.MergeCPU <= 0 {
+			t.Errorf("merge billed no CPU encode time: %+v", st)
+		}
+		// A query arriving while the merges' device work is still queued
+		// waits on every shard.
+		r, err := c.SearchAt([]string{word(0), word(1)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ss := range r.Stats.Shards {
+			if ss.Query.GPUWait <= 0 {
+				t.Errorf("shard %d query behind merge backlog saw no GPUWait", ss.Shard)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for _, m := range genScript(52, c.clone(), 120, vocab) {
-		apply(t, e, c, m)
-	}
-	if err := e.MergeAt(0); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.MergeDevice <= 0 {
-		t.Errorf("merge billed no device time: %+v", st)
-	}
-	if st.MergeCPU <= 0 {
-		t.Errorf("merge billed no CPU encode time: %+v", st)
-	}
-	// A query arriving while the merge's device work is still queued waits.
-	r, err := e.SearchAt([]string{word(0), word(1)}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.GPUWait <= 0 {
-		t.Errorf("query behind merge backlog saw no GPUWait (got %v)", r.Stats.GPUWait)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -625,42 +751,40 @@ func TestMergeInterferenceOnSharedDevice(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestMutationValidation(t *testing.T) {
-	c := seedCorpus(61, 10, 8)
-	e, err := New(c.build(t, index.CodecEF), Config{Engine: core.Config{Mode: core.CPUOnly}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	forShards(t, []int{1, 2}, func(t *testing.T, shards int) {
+		c := newLive(t, seedCorpus(61, 10, 8), cpuConfig(shards))
+		defer c.Close()
 
-	cases := []struct {
-		name string
-		call func() error
-	}{
-		{"add existing", func() error { return e.Add(3, []string{"x"}) }},
-		{"add empty", func() error { return e.Add(100, nil) }},
-		{"update empty", func() error { return e.Update(3, nil) }},
-		{"delete missing", func() error { return e.Delete(100) }},
-	}
-	for _, tc := range cases {
-		err := tc.call()
-		if err == nil || !IsInvalid(err) {
-			t.Errorf("%s: err = %v, want invalid-mutation error", tc.name, err)
+		cases := []struct {
+			name string
+			call func() error
+		}{
+			{"add existing", func() error { return c.Add(3, []string{"x"}) }},
+			{"add empty", func() error { return c.Add(100, nil) }},
+			{"update empty", func() error { return c.Update(3, nil) }},
+			{"delete missing", func() error { return c.Delete(100) }},
 		}
-	}
-	if e.Gen() != 0 {
-		t.Errorf("rejected mutations advanced gen to %d", e.Gen())
-	}
-	// Upsert via Update of a brand-new doc is legal; re-adding after a
-	// delete is legal too.
-	if err := e.Update(200, []string{"x", "y"}); err != nil {
-		t.Errorf("upsert update: %v", err)
-	}
-	if err := e.Delete(200); err != nil {
-		t.Errorf("delete upserted doc: %v", err)
-	}
-	if err := e.Add(200, []string{"z"}); err != nil {
-		t.Errorf("re-add after delete: %v", err)
-	}
+		for _, tc := range cases {
+			err := tc.call()
+			if err == nil || !IsInvalid(err) {
+				t.Errorf("%s: err = %v, want invalid-mutation error", tc.name, err)
+			}
+		}
+		if c.Gen() != 0 || c.Stats().DeltaDocs != 0 {
+			t.Errorf("rejected mutations advanced gen to %d (delta %d)", c.Gen(), c.Stats().DeltaDocs)
+		}
+		// Upsert via Update of a brand-new doc is legal; re-adding after a
+		// delete is legal too.
+		if err := c.Update(200, []string{"x", "y"}); err != nil {
+			t.Errorf("upsert update: %v", err)
+		}
+		if err := c.Delete(200); err != nil {
+			t.Errorf("delete upserted doc: %v", err)
+		}
+		if err := c.Add(200, []string{"z"}); err != nil {
+			t.Errorf("re-add after delete: %v", err)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -669,184 +793,165 @@ func TestMutationValidation(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestAutoMergeBackground(t *testing.T) {
-	const vocab = 12
-	base := seedCorpus(71, 50, vocab)
-	c := base.clone()
-	e, err := New(c.build(t, index.CodecEF), Config{
-		Engine:         core.Config{Mode: core.CPUOnly},
-		MergeThreshold: 10,
-		AutoMerge:      true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range genScript(72, c.clone(), 40, vocab) {
-		apply(t, e, c, m)
-	}
-	// The background merge goroutine commits asynchronously; wait for it.
-	deadline := time.Now().Add(10 * time.Second)
-	for e.Stats().Merges == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if e.Stats().Merges == 0 {
-		t.Fatalf("no background merge committed: %+v", e.Stats())
-	}
-	checkLiveParity(t, e, c, queryLog(vocab), "post-automerge")
+	forShards(t, []int{1, 2}, func(t *testing.T, shards int) {
+		const vocab = 12
+		lc := seedCorpus(71, 50, vocab)
+		cfg := cpuConfig(shards)
+		cfg.MergeThreshold = 10
+		cfg.AutoMerge = true
+		c := newLive(t, lc, cfg)
+		for _, m := range genScript(72, lc.clone(), 40, vocab) {
+			apply(t, c, lc, m)
+		}
+		// The background merge goroutine commits asynchronously; wait for it.
+		deadline := time.Now().Add(10 * time.Second)
+		for c.Stats().Merges == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if c.Stats().Merges == 0 {
+			t.Fatalf("no background merge committed: %+v", c.Stats())
+		}
+		checkLiveParity(t, c, lc, queryLog(vocab), "post-automerge")
 
-	e.Close() // drains any still-in-flight background merge
-	if _, err := e.Search([]string{word(0)}); err != ErrClosed {
-		t.Errorf("search after close: err = %v, want ErrClosed", err)
-	}
-	if err := e.Add(9_999, []string{"x"}); err != ErrClosed {
-		t.Errorf("add after close: err = %v, want ErrClosed", err)
-	}
-	if err := e.Merge(); err != ErrClosed {
-		t.Errorf("merge after close: err = %v, want ErrClosed", err)
-	}
+		c.Close() // drains any still-in-flight background merge
+		if _, err := c.Search([]string{word(0)}); err != ErrClosed {
+			t.Errorf("search after close: err = %v, want ErrClosed", err)
+		}
+		if err := c.Add(9_999, []string{"x"}); err != ErrClosed {
+			t.Errorf("add after close: err = %v, want ErrClosed", err)
+		}
+		if err := c.MergeShard(0); err != ErrClosed {
+			t.Errorf("merge after close: err = %v, want ErrClosed", err)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot isolation under -race: concurrent Add/Delete/Search with
-// background merges. Every result must be bit-identical to a quiesced
-// engine holding exactly the first Result.Gen mutations — no torn reads,
-// and each reader observes a monotonically advancing generation.
+// Snapshot isolation under -race: concurrent mutations, shard merges, a
+// split, and readers. Every result must be bit-identical to a quiesced
+// corpus at the generation its snapshot reports — no torn reads — and each
+// reader observes a monotonically advancing generation.
 // ---------------------------------------------------------------------------
 
 func TestConcurrentSnapshotIsolation(t *testing.T) {
-	const vocab = 10
-	base := seedCorpus(81, 40, vocab)
-	script := genScript(82, base.clone(), 36, vocab)
-	queries := [][]string{{word(0)}, {word(0), word(1)}, {word(1), word(2)}}
+	testConcurrentSnapshotIsolation(t, 1, core.Config{Mode: core.Hybrid})
+}
 
-	// Precompute, per generation g, the exact expected results over the
-	// corpus holding the first g mutations (CPU-only reference: all modes
-	// are bit-identical on ranked docs).
-	expected := make([]map[int][]docBits, len(script)+1)
-	{
-		c := base.clone()
-		for g := 0; g <= len(script); g++ {
-			if g > 0 {
-				m := script[g-1]
-				switch m.kind {
-				case mutDelete:
-					delete(c.docs, m.docID)
-				default:
-					c.docs[m.docID] = m.tokens
-				}
-			}
-			ref, err := core.New(c.build(t, index.CodecEF), core.Config{Mode: core.CPUOnly})
-			if err != nil {
-				t.Fatal(err)
-			}
-			expected[g] = make(map[int][]docBits, len(queries))
-			for qi, q := range queries {
-				r, err := ref.Search(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				expected[g][qi] = bitsOf(r)
-			}
+// expectedByGen returns, per generation g, each query's fresh-build
+// result over the corpus holding the first g mutations (CPU-only
+// reference: all modes are bit-identical on ranked docs).
+func expectedByGen(t *testing.T, base *logicalCorpus, script []mutation, queries [][]string) [][][]docBits {
+	expected := make([][][]docBits, len(script)+1)
+	lc := base.clone()
+	for g := 0; g <= len(script); g++ {
+		if g > 0 {
+			applyLogical(lc, script[g-1])
 		}
+		eng, err := core.New(lc.build(t, index.CodecEF), core.Config{Mode: core.CPUOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		expected[g] = make([][]docBits, len(queries))
+		for qi, q := range queries {
+			expected[g][qi], _ = freshBits(t, eng, q)
+		}
+		eng.Close()
 	}
+	return expected
+}
 
-	c := base.clone()
-	e, err := New(c.build(t, index.CodecEF), Config{
-		Engine:         core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
+func testConcurrentSnapshotIsolation(t *testing.T, shards int, ecfg core.Config) {
+	const vocab = 12
+	base := seedCorpus(61, 40, vocab)
+	script := genScript(62, base.clone(), 30, vocab)
+	queries := [][]string{{word(0)}, {word(0), word(1)}, {word(1), word(2)}}
+	expected := expectedByGen(t, base, script, queries)
+
+	c := newLive(t, base, ClusterConfig{
+		Shards:         shards,
+		Cluster:        cluster.Config{Engine: ecfg},
 		MergeThreshold: 8,
 		AutoMerge:      true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	var (
-		wg   sync.WaitGroup
-		done = make(chan struct{})
-		errs = make(chan string, 64)
-	)
-	// Writer: replay the script, interleaving explicit merges with the
-	// auto-merge goroutines.
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
 	wg.Add(1)
-	go func() {
+	go func() { // writer: script + explicit merges + one mid-life split
 		defer wg.Done()
-		defer close(done)
+		defer close(stop)
 		for i, m := range script {
-			var err error
-			switch m.kind {
-			case mutAdd:
-				err = e.Add(m.docID, m.tokens)
-			case mutUpdate:
-				err = e.Update(m.docID, m.tokens)
-			case mutDelete:
-				err = e.Delete(m.docID)
-			}
-			if err != nil {
-				errs <- fmt.Sprintf("writer step %d: %v", i, err)
+			if err := mutate(c, m); err != nil {
+				t.Errorf("writer step %d: %v", i, err)
 				return
 			}
-			if i%12 == 11 {
-				if err := e.Merge(); err != nil {
-					errs <- fmt.Sprintf("writer merge at %d: %v", i, err)
-					return
+			if (i+1)%12 == 0 {
+				if err := c.MergeShard(i % c.Shards()); err != nil {
+					t.Errorf("writer merge: %v", err)
+				}
+			}
+			if i == len(script)/2 {
+				if err := c.Split(); err != nil {
+					t.Errorf("writer split: %v", err)
 				}
 			}
 		}
 	}()
-	// Readers: hammer the fixed queries, checking every result against the
-	// generation it claims to have observed.
-	for reader := 0; reader < 4; reader++ {
+	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
 			var lastGen uint64
+			qi := r % len(queries)
 			for {
 				select {
-				case <-done:
+				case <-stop:
 					return
 				default:
 				}
-				for qi, q := range queries {
-					r, err := e.Search(q)
-					if err != nil {
-						errs <- fmt.Sprintf("reader q%d: %v", qi, err)
-						return
-					}
-					if r.Gen > uint64(len(script)) {
-						errs <- fmt.Sprintf("reader q%d: gen %d beyond script", qi, r.Gen)
-						return
-					}
-					if r.Gen < lastGen {
-						errs <- fmt.Sprintf("reader q%d: gen went backwards %d -> %d", qi, lastGen, r.Gen)
-						return
-					}
-					lastGen = r.Gen
-					if got, want := bitsOf(r.Result), expected[r.Gen][qi]; !sameDocs(got, want) {
-						errs <- fmt.Sprintf("reader q%d gen %d: torn result\n got=%v\nwant=%v", qi, r.Gen, got, want)
-						return
-					}
+				res, err := c.Search(queries[qi])
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
 				}
+				if res.Gen < lastGen {
+					t.Errorf("reader %d: gen went backwards %d -> %d", r, lastGen, res.Gen)
+					return
+				}
+				lastGen = res.Gen
+				if res.Gen > uint64(len(script)) {
+					t.Errorf("reader %d: gen %d beyond script", r, res.Gen)
+					return
+				}
+				if got, want := bitsOf(res.Docs), expected[res.Gen][qi]; !sameDocs(got, want) {
+					t.Errorf("reader %d gen %d q%d: torn result\n got=%v\nwant=%v", r, res.Gen, qi, got, want)
+					return
+				}
+				qi = (qi + 1) % len(queries)
 			}
-		}()
+		}(r)
 	}
 	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Error(msg)
-	}
 
-	// Final quiesce: the surviving engine collapses to the fully merged
+	// Final quiesce: the surviving cluster collapses to the fully merged
 	// corpus and stays exact.
-	if err := e.Quiesce(); err != nil {
+	if err := c.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		r, err := e.Search(q)
+		final, err := c.Search(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := bitsOf(r.Result), expected[len(script)][qi]; !sameDocs(got, want) {
-			t.Errorf("post-quiesce q%d: got=%v want=%v", qi, got, want)
+		if got, want := bitsOf(final.Docs), expected[len(script)][qi]; !sameDocs(got, want) {
+			t.Errorf("final quiesced q%d: docs diverge\n got=%v\nwant=%v", qi, got, want)
 		}
 	}
-	e.Close()
+	c.Close()
+	if _, err := c.Search(queries[0]); err != ErrClosed {
+		t.Errorf("search after close = %v, want ErrClosed", err)
+	}
+	if err := c.Add(99_999, []string{"x"}); err != ErrClosed {
+		t.Errorf("add after close = %v, want ErrClosed", err)
+	}
 }

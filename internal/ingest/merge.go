@@ -1,11 +1,8 @@
 package ingest
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
-	"griffin/internal/core"
 	"griffin/internal/exec"
 	"griffin/internal/fault"
 	"griffin/internal/gpu"
@@ -13,193 +10,14 @@ import (
 	"griffin/internal/index"
 )
 
-// Merge folds the current delta into a freshly re-encoded main segment
-// and swaps it in atomically. The old snapshot retires when its last
-// pinned query finishes; an aborted merge (injected fault on the merge
-// path) leaves the published snapshot untouched — never a torn state —
-// and is retried up to the configured budget.
-func (e *Engine) Merge() error { return e.merge(0, false) }
-
-// MergeAt is Merge anchored at an explicit simulated arrival time on
-// the shared device timeline — the load-study path, where merge
-// re-encoding work queues behind (and delays) concurrent queries.
-func (e *Engine) MergeAt(arrival time.Duration) error { return e.merge(arrival, true) }
-
-func (e *Engine) merge(arrival time.Duration, timed bool) error {
-	e.mergeMu.Lock()
-	defer e.mergeMu.Unlock()
-	if e.closing.Load() {
-		return ErrClosed
-	}
-	return e.mergeLocked(arrival, timed)
-}
-
-// mergeLocked is the abort-retry loop around one merge. Caller holds
-// mergeMu (Merge/MergeAt take it themselves; Checkpoint holds it across
-// the merge and the checkpoint write so the persisted segment is the
-// one the watermark describes).
-func (e *Engine) mergeLocked(arrival time.Duration, timed bool) error {
-	attempts := e.retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = e.mergeOnce(arrival, timed)
-		if err == nil {
-			return nil
-		}
-		if !injected(err) {
-			return err
-		}
-		e.statsMu.Lock()
-		e.st.Aborts++
-		e.statsMu.Unlock()
-	}
-	return err
-}
+// DefaultMergeRetries bounds how many times an aborted merge (injected
+// fault on the merge path) is retried before the error surfaces.
+const DefaultMergeRetries = 3
 
 // injected reports whether a merge failure came from the fault injector
 // (abort→retry) rather than a hard internal error.
 func injected(err error) bool {
 	return fault.IsDeviceFault(err) || fault.IsEngineFault(err)
-}
-
-// Quiesce merges until the delta is empty: after it returns (without
-// error and with no concurrent writers), every accepted mutation is
-// re-encoded into the compressed main segment and queries take the
-// frozen-corpus path — byte-identical to a freshly built engine over
-// the same logical corpus.
-func (e *Engine) Quiesce() error {
-	for {
-		e.mu.Lock()
-		empty := len(e.d.docs) == 0
-		e.mu.Unlock()
-		if empty {
-			return nil
-		}
-		if err := e.Merge(); err != nil {
-			return err
-		}
-	}
-}
-
-// mergeOnce runs one merge attempt: freeze, price, re-encode, swap.
-func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
-	// Pin the segment and freeze a view covering every mutation so far.
-	// Mutations landing after this point survive the merge in the delta
-	// and correctly shadow the merged segment.
-	e.mu.Lock()
-	cur := e.snap.Load()
-	if cur.view.gen != e.d.gen {
-		v := e.d.freeze(cur.seg.st)
-		e.snap.Store(newSnapshot(cur.seg, v))
-		cur.release()
-		cur = e.snap.Load()
-	}
-	cur.refs.Add(1) // safe under e.mu: swaps hold the writer lock too
-	e.mu.Unlock()
-	defer cur.release()
-
-	v := cur.view
-	if v.Empty() {
-		return nil
-	}
-	main := cur.seg.st.ix
-	upto := v.gen
-
-	// Fault site: the merge admission draw ("<site>.merge"). An ERR rule
-	// aborts the attempt before any work; a STALL rule delays it.
-	var stall time.Duration
-	if e.cfg.Fault != nil {
-		at := arrival
-		s, err := e.cfg.Fault.AdmitQuery(e.site+".merge", at)
-		if err != nil {
-			return err
-		}
-		stall = s
-	}
-
-	plan, err := planMerge(main, v)
-	if err != nil {
-		return err
-	}
-
-	// Price the re-encode. Changed lists pay the device path — upload the
-	// old compressed blocks, Para-EF decompress, migrate the expansion
-	// back — through the *shared* node runtime, so merge work occupies
-	// the same copy/compute lanes queries use (interference both ways)
-	// and passes the per-device fault hooks (a device fault aborts the
-	// merge). Unchanged lists are segment-copied for free. Encoding
-	// itself is host work, billed on the CPU model.
-	var devTime, cpuTime time.Duration
-	if node := cur.seg.eng.Node(); node != nil && len(plan.changed) > 0 {
-		var h *gpu.QueryStream
-		if timed {
-			h = node.AdmitAtOn(0, arrival)
-		} else {
-			h = node.AdmitOn(0)
-		}
-		gm := node.Model()
-		for _, ch := range plan.changed {
-			if err := priceChanged(h, &e.cpu, gm, ch); err != nil {
-				h.Release()
-				return err
-			}
-		}
-		devTime = h.Stream().Elapsed()
-		h.Release()
-	}
-	for _, ch := range plan.changed {
-		cpuTime += e.cpu.Time(hwmodel.CPUWork{
-			EFDecodedElems: int64(ch.merged),
-			MergedElements: int64(ch.oldN + ch.merged),
-		})
-	}
-
-	ix2, err := plan.build(e.codec)
-	if err != nil {
-		return fmt.Errorf("ingest: merge build: %w", err)
-	}
-
-	// The successor engine adopts the node: device timelines, submit
-	// hooks, and the batching stage survive the swap, so in-flight
-	// queries on the old segment and new arrivals on this one contend
-	// for the same modeled devices.
-	ncfg := e.cfg.Engine
-	ncfg.Node = cur.seg.eng.Node()
-	ncfg.Runtime = nil
-	if ncfg.Node != nil {
-		ncfg.Device = nil
-	}
-	eng2, err := core.New(ix2, ncfg)
-	if err != nil {
-		return fmt.Errorf("ingest: merge engine: %w", err)
-	}
-
-	// Commit: drop covered records, publish the (new segment, residual
-	// delta) snapshot, retire the old one. mergeMu guarantees cur.seg is
-	// still the live segment.
-	e.mu.Lock()
-	e.d.drop(upto)
-	seg2 := &segment{eng: eng2, st: statsOf(ix2)}
-	v2 := e.d.freeze(seg2.st)
-	old := e.snap.Load()
-	e.snap.Store(newSnapshot(seg2, v2))
-	e.mu.Unlock()
-	old.release()
-
-	e.statsMu.Lock()
-	e.st.Merges++
-	if e.st.MergedGen < upto {
-		e.st.MergedGen = upto
-	}
-	e.st.MergedDocs += int64(v.Docs())
-	e.st.MergeDevice += devTime
-	e.st.MergeCPU += cpuTime
-	e.st.MergeStall += stall
-	e.statsMu.Unlock()
-	return nil
 }
 
 // changedList describes one posting list the merge re-encodes.

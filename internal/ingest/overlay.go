@@ -19,9 +19,9 @@ type queryOverlay struct {
 	view   *View
 	main   *index.Index
 	scorer *rank.Scorer // bound to the snapshot's live NumDocs/AvgDocLen
-	// globalDF, when non-nil, overrides per-term document frequencies
-	// with collection-wide sums (a partitioned shard's overlay: local
-	// structure, global statistics — the live analogue of GlobalN).
+	// globalDF holds the query's collection-wide live document
+	// frequencies (a shard's overlay: local structure, global
+	// statistics — the live analogue of GlobalN).
 	globalDF map[string]int
 
 	// Resolved by Reconcile, consumed by ScoreCandidates.
@@ -36,10 +36,9 @@ func statScorer(numDocs int, avgDocLen float64, params rank.BM25Params) *rank.Sc
 	return rank.NewScorer(&index.Index{NumDocs: numDocs, AvgDocLen: avgDocLen}, params)
 }
 
-// newOverlay bundles a snapshot's view into the exec.Overlay a query
-// threads through the engine. scorer carries the statistics BM25 should
-// see (the snapshot's own for a single engine, the global live ones for
-// a cluster shard).
+// newOverlay bundles a shard's pinned view into the exec.Overlay a query
+// threads through the shard engine. scorer and globalDF carry the global
+// live statistics BM25 should see.
 func newOverlay(view *View, main *index.Index, scorer *rank.Scorer, globalDF map[string]int) *exec.Overlay {
 	q := &queryOverlay{view: view, main: main, scorer: scorer, globalDF: globalDF}
 	return &exec.Overlay{Delta: q, Scorer: q}
@@ -63,11 +62,12 @@ func (q *queryOverlay) Reconcile(mainIDs []uint32, terms []string) ([]uint32, hw
 			q.lists[i] = pl
 			mainN = pl.N
 		}
-		df, probes := q.view.liveDF(t, mainN, q.main)
+		// The shard-local live df is memoized by the view; the query
+		// bills its shadow-membership probes and scores with the global
+		// df.
+		_, probes := q.view.liveDF(t, mainN, q.main)
 		work.CachedProbes += int64(probes)
-		if q.globalDF != nil {
-			df = q.globalDF[t]
-		}
+		df := q.globalDF[t]
 		q.dfs[i] = df
 		if df <= 0 {
 			// No live document contains the term: the conjunction is

@@ -11,13 +11,13 @@ import (
 )
 
 // CrashSpec parameterizes one seeded crash-recovery trial over a durable
-// live engine.
+// live cluster.
 type CrashSpec struct {
-	// Config is the durable engine configuration. WALDir must be set —
-	// RunCrash is meaningless without a log to recover — and Fault may
-	// carry an injected storage-fault plan (torn appends, short syncs)
-	// so the crash lands on a corrupted tail.
-	Config ingest.Config
+	// Config is the durable cluster configuration. WALDir must be set —
+	// RunCrash is meaningless without a log to recover — and
+	// Cluster.Fault may carry an injected storage-fault plan (torn
+	// appends, short syncs) so the crash lands on a corrupted tail.
+	Config ingest.ClusterConfig
 	// CrashAfter is how many scripted mutations to attempt before the
 	// simulated kill -9. Mutations refused by an injected storage fault
 	// count as rejected, not acknowledged; script entries invalidated by
@@ -31,11 +31,11 @@ type CrashSpec struct {
 
 // CrashResult measures one crash → recover cycle.
 type CrashResult struct {
-	// Acked counts mutations the engine acknowledged before the crash;
+	// Acked counts mutations the cluster acknowledged before the crash;
 	// Rejected the ones an injected storage fault refused.
 	Acked    int
 	Rejected int
-	// Recovered is the generation the reopened engine recovered to —
+	// Recovered is the generation the reopened cluster recovered to —
 	// equal to Acked exactly when every acknowledged write survived.
 	Recovered uint64
 	// Replayed is the WAL suffix length recovery replayed past the
@@ -55,10 +55,10 @@ func (r CrashResult) Survived() bool {
 	return r.Recovered == uint64(r.Acked)
 }
 
-// RunCrash drives a durable live engine through a scripted mutation
-// prefix, kills it without flushing (Engine.Crash — the unsynced tail
+// RunCrash drives a durable live cluster through a scripted mutation
+// prefix, kills it without flushing (Cluster.Crash — the unsynced tail
 // vanishes), reopens the directory, and reports what survived and how
-// long recovery took. The reopened engine is verified against the
+// long recovery took. The reopened cluster is verified against the
 // acknowledged count and closed before returning.
 func RunCrash(seed *index.Index, muts []Mutation, spec CrashSpec) (CrashResult, error) {
 	if spec.Config.WALDir == "" {
@@ -68,7 +68,7 @@ func RunCrash(seed *index.Index, muts []Mutation, spec CrashSpec) (CrashResult, 
 	if n > len(muts) {
 		n = len(muts)
 	}
-	e, err := ingest.Open(seed, spec.Config)
+	e, err := ingest.OpenCluster(seed, spec.Config)
 	if err != nil {
 		return CrashResult{}, err
 	}
@@ -114,9 +114,9 @@ func RunCrash(seed *index.Index, muts []Mutation, spec CrashSpec) (CrashResult, 
 	e.Crash()
 
 	rcfg := spec.Config
-	rcfg.Fault = nil
+	rcfg.Cluster.Fault = nil
 	start := time.Now()
-	r, err := ingest.Open(seed, rcfg)
+	r, err := ingest.OpenCluster(seed, rcfg)
 	if err != nil {
 		return res, err
 	}

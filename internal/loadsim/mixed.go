@@ -30,7 +30,7 @@ type Mutation struct {
 	Tokens []string
 }
 
-// MixedSpec parameterizes a mixed read/write run over a live engine.
+// MixedSpec parameterizes a mixed read/write run over a live cluster.
 type MixedSpec struct {
 	// ArrivalRate is total operations per second (reads + writes),
 	// Poisson as in Run/RunEngine.
@@ -41,9 +41,10 @@ type MixedSpec struct {
 	WriteFraction float64
 	// Seed drives arrivals and the read/write coin.
 	Seed int64
-	// Merge enables threshold merging: whenever the engine reports a
-	// due merge (NeedsMerge), it is run at the current modeled time so
-	// its re-encoding work contends with queries on the shared device.
+	// Merge enables threshold merging: whenever the cluster reports a
+	// shard due for a merge (NeedsMerge), that shard's merge runs at the
+	// current modeled time so its re-encoding work contends with queries
+	// on the shard's device.
 	// With Merge false the delta grows unboundedly and every read pays
 	// the widening reconcile cost — the no-merge control arm.
 	Merge bool
@@ -63,13 +64,13 @@ type MixedResult struct {
 	// DeltaPeak is the largest delta (records) observed after a write —
 	// the freshness-lag high-water mark.
 	DeltaPeak int
-	// Makespan is the last completion time; GPUBusy the node busy
+	// Makespan is the last completion time; GPUBusy shard 0's node busy
 	// fraction over it.
 	Makespan time.Duration
 	GPUBusy  float64
-	// Stats is the engine's final ingestion telemetry (merge counts,
+	// Stats is the cluster's final ingestion telemetry (merge counts,
 	// device/CPU/stall time, residual lag).
-	Stats ingest.Stats
+	Stats ingest.ClusterStats
 }
 
 // Availability returns the fraction of read attempts that succeeded
@@ -81,18 +82,18 @@ func (r MixedResult) Availability() float64 {
 	return float64(r.Reads-r.Failed) / float64(r.Reads)
 }
 
-// RunMixed drives a live ingest.Engine under a Poisson stream of mixed
-// reads and writes, the serving-under-mutation experiment: reads are
-// timed sub-queries through the shared device runtime (RunEngine's
-// discipline), writes apply scripted mutations to the delta, and — on
-// the merge arm — due merges are priced at their trigger time on the
-// same device timelines, so merge interference surfaces directly in
-// read latency. Reads cycle through queries; the run ends when the
+// RunMixed drives a live ingest.Cluster (one shard for a single node)
+// under a Poisson stream of mixed reads and writes, the
+// serving-under-mutation experiment: reads are timed queries through the
+// shard device runtimes (RunEngine's discipline), writes apply scripted
+// mutations to the deltas, and — on the merge arm — due shard merges are
+// priced at their trigger time on the same device timelines, so merge
+// interference surfaces directly in read latency. Reads cycle through queries; the run ends when the
 // read log is exhausted.
 //
 // Read errors are counted as failures rather than aborting the run, so
 // availability under injected merge faults is measurable.
-func RunMixed(e *ingest.Engine, queries [][]string, muts []Mutation, spec MixedSpec) (MixedResult, error) {
+func RunMixed(e *ingest.Cluster, queries [][]string, muts []Mutation, spec MixedSpec) (MixedResult, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	res := MixedResult{Latencies: stats.NewLatencyRecorder(len(queries))}
 	if len(queries) == 0 || spec.ArrivalRate <= 0 {
@@ -122,8 +123,8 @@ func RunMixed(e *ingest.Engine, queries [][]string, muts []Mutation, spec MixedS
 			if d := e.Stats().DeltaDocs; d > res.DeltaPeak {
 				res.DeltaPeak = d
 			}
-			if spec.Merge && e.NeedsMerge() {
-				if err := e.MergeAt(t); err != nil {
+			if s := e.NeedsMerge(); spec.Merge && s >= 0 {
+				if err := e.MergeShardAt(s, t); err != nil {
 					return res, err
 				}
 			}
@@ -141,7 +142,7 @@ func RunMixed(e *ingest.Engine, queries [][]string, muts []Mutation, spec MixedS
 			res.Makespan = end
 		}
 	}
-	if node := e.Engine().Node(); node != nil {
+	if node := e.Cluster().ShardNode(0); node != nil {
 		res.GPUBusy = node.Utilization()
 	}
 	res.Stats = e.Stats()

@@ -4,9 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/gpu"
-	"griffin/internal/hwmodel"
 	"griffin/internal/index"
 	"griffin/internal/ingest"
 	"griffin/internal/workload"
@@ -14,8 +13,8 @@ import (
 
 // mixedFixture builds a small corpus, a read log, a valid mutation
 // script (adds of fresh docs, then updates and deletes of them), and a
-// live-engine constructor over a dedicated hybrid device.
-func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *ingest.Engine) {
+// constructor for a one-shard (single-node) hybrid live cluster.
+func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *ingest.Cluster) {
 	t.Helper()
 	c, err := workload.GenerateCorpus(workload.CorpusSpec{
 		NumDocs:    60_000,
@@ -47,12 +46,10 @@ func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *in
 	for i := 5; i < 10; i++ {
 		muts = append(muts, Mutation{Kind: MutDelete, DocID: base + uint32(i)})
 	}
-	mk := func(threshold int) *ingest.Engine {
-		e, err := ingest.New(c.Index, ingest.Config{
-			Engine: core.Config{
-				Mode:   core.Hybrid,
-				Device: gpu.New(hwmodel.DefaultGPU(), 0),
-			},
+	mk := func(threshold int) *ingest.Cluster {
+		e, err := ingest.NewCluster(c.Index, ingest.ClusterConfig{
+			Shards:         1,
+			Cluster:        cluster.Config{Engine: core.Config{Mode: core.Hybrid}},
 			MergeThreshold: threshold,
 		})
 		if err != nil {
@@ -64,9 +61,9 @@ func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *in
 }
 
 // The two arms of the mixed workload share one arrival process (the
-// engine never consumes the rng), so read/write interleavings are
+// cluster never consumes the rng), so read/write interleavings are
 // identical; only the merge arm commits merges, and their re-encoding
-// cost lands on the shared device timeline.
+// cost lands on the shard's device timeline.
 func TestRunMixedMergeVsNoMergeArms(t *testing.T) {
 	queries, muts, mk := mixedFixture(t)
 	spec := MixedSpec{ArrivalRate: 400, WriteFraction: 0.4, Seed: 9}

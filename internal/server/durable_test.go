@@ -5,28 +5,36 @@ import (
 	"strings"
 	"testing"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/ingest"
 )
 
-func newDurableServer(t *testing.T, cfg ingest.Config) (*Server, *ingest.Engine) {
-	t.Helper()
-	if cfg.Engine.Mode == 0 {
-		cfg.Engine = core.Config{Mode: core.CPUOnly}
+// durableConfig is a single-node (one-shard) durable CPU-only live
+// cluster over dir, with an optional fault plan.
+func durableConfig(dir string, inj *fault.Injector) ingest.ClusterConfig {
+	return ingest.ClusterConfig{
+		Shards:  1,
+		Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}, Fault: inj},
+		WALDir:  dir,
 	}
-	e, err := ingest.Open(testIndex(t), cfg)
+}
+
+func newDurableServer(t *testing.T, cfg ingest.ClusterConfig) (*Server, *ingest.Cluster) {
+	t.Helper()
+	c, err := ingest.OpenCluster(testIndex(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLive(e, 0), e
+	return NewLiveCluster(c, 0), c
 }
 
 // A durable backend grows a "wal" sub-block inside /statz's ingest
 // block; the in-memory backend's body never mentions it — the PR 9
 // golden stays byte-identical.
 func TestStatzWALBlockPresence(t *testing.T) {
-	s, e := newDurableServer(t, ingest.Config{WALDir: t.TempDir()})
+	s, e := newDurableServer(t, durableConfig(t.TempDir(), nil))
 	defer e.Close()
 	if w := postIngest(t, s, `{"op":"add","doc_id":100,"text":"zebra habitat"}`); w.Code != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", w.Code, w.Body.String())
@@ -58,7 +66,7 @@ func TestIngestStorageFaultDegradesHealth(t *testing.T) {
 	inj := fault.NewInjector(fault.Plan{Seed: 7, Rules: []fault.Rule{
 		{Kind: fault.TornWrite, Rate: 1},
 	}})
-	s, e := newDurableServer(t, ingest.Config{WALDir: t.TempDir(), Fault: inj})
+	s, e := newDurableServer(t, durableConfig(t.TempDir(), inj))
 	defer e.Close()
 
 	var before struct {
@@ -99,15 +107,12 @@ func TestIngestStorageFaultDegradesHealth(t *testing.T) {
 }
 
 // The graceful-shutdown barrier (what SIGTERM triggers in
-// griffin-server after the request drain): closing the engine syncs the
+// griffin-server after the request drain): closing the cluster syncs the
 // WAL, so even under the deferred-sync policy every mutation the server
 // acknowledged over HTTP survives a restart.
 func TestServerShutdownDurability(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ingest.Config{
-		Engine: core.Config{Mode: core.CPUOnly},
-		WALDir: dir, WALSyncEvery: -1,
-	}
+	cfg := durableConfig(t.TempDir(), nil)
+	cfg.WALSyncEvery = -1
 	s, e := newDurableServer(t, cfg)
 	for _, body := range []string{
 		`{"op":"add","doc_id":100,"text":"zebra habitat zebra"}`,
@@ -123,7 +128,7 @@ func TestServerShutdownDurability(t *testing.T) {
 	}
 	e.Close() // griffin-server's deferred Close after the drain window
 
-	r, err := ingest.Open(testIndex(t), cfg)
+	r, err := ingest.OpenCluster(testIndex(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +136,7 @@ func TestServerShutdownDurability(t *testing.T) {
 	if got := r.Gen(); got != 3 {
 		t.Fatalf("recovered gen %d, want all 3 acknowledged mutations", got)
 	}
-	s2 := NewLive(r, 0)
+	s2 := NewLiveCluster(r, 0)
 	var res SearchResponse
 	getJSON(t, s2, "/search?q=savanna", &res)
 	if len(res.Results) != 1 || res.Results[0].DocID != 100 {

@@ -8,22 +8,24 @@ import (
 	"strings"
 	"testing"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/gpu"
-	"griffin/internal/hwmodel"
 	"griffin/internal/ingest"
 )
 
-func newLiveServer(t *testing.T, freshness int) (*Server, *ingest.Engine) {
+// newLiveServer is a single-node live server: the one-shard live
+// cluster.
+func newLiveServer(t *testing.T, freshness int) (*Server, *ingest.Cluster) {
 	t.Helper()
-	e, err := ingest.New(testIndex(t), ingest.Config{
-		Engine: core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
+	c, err := ingest.NewCluster(testIndex(t), ingest.ClusterConfig{
+		Shards:  1,
+		Cluster: cluster.Config{Engine: core.Config{Mode: core.Hybrid}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(e.Close)
-	return NewLive(e, freshness), e
+	t.Cleanup(c.Close)
+	return NewLiveCluster(c, freshness), c
 }
 
 func newLiveClusterServer(t *testing.T, freshness int) (*Server, *ingest.Cluster) {
@@ -92,8 +94,36 @@ func TestIngestEndpointLiveSearch(t *testing.T) {
 	if st.Ingest == nil {
 		t.Fatal("/statz missing ingest block on a live server")
 	}
-	if st.Ingest.Gen != 1 || st.Ingest.Adds != 1 || st.Ingest.Accepted != 1 || st.Ingest.DeltaDocs != 1 {
+	if st.Ingest.Gen != 1 || st.Ingest.Adds != 1 || st.Ingest.Accepted != 1 || st.Ingest.DeltaDocs != 1 ||
+		st.Ingest.Shards != 1 || st.Ingest.LiveDocs != 5 {
 		t.Fatalf("ingest telemetry = %+v", st.Ingest)
+	}
+}
+
+// A single-node live trace keeps the executed plan: the one shard's row
+// carries the same operator sequence a read-only single-engine server
+// traces over the same index.
+func TestLiveTraceKeepsPlan(t *testing.T) {
+	s, _ := newLiveServer(t, 0)
+	var live, single SearchResponse
+	getJSON(t, s, "/search?q=quick+fox&trace=1", &live)
+	getJSON(t, newTestServer(t), "/search?q=quick+fox&trace=1", &single)
+	if len(live.Shards) != 1 {
+		t.Fatalf("live trace has %d shard rows, want 1", len(live.Shards))
+	}
+	kinds := func(plan []PlanOpJSON) []string {
+		out := make([]string, len(plan))
+		for i, op := range plan {
+			out[i] = op.Op + "@" + op.Where
+		}
+		return out
+	}
+	got, want := kinds(live.Shards[0].Plan), kinds(single.Plan)
+	if len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("live shard plan %v, want the single engine's %v", got, want)
+	}
+	if live.Plan != nil {
+		t.Fatalf("live trace carries a top-level plan: %+v", live.Plan)
 	}
 }
 

@@ -32,8 +32,7 @@ import (
 type Server struct {
 	engine      *core.Engine     // single-node backend (nil otherwise)
 	cluster     *cluster.Cluster // sharded backend (nil otherwise)
-	live        *ingest.Engine   // live single-node backend (nil otherwise)
-	liveCluster *ingest.Cluster  // live sharded backend (nil otherwise)
+	liveCluster *ingest.Cluster  // live backend, any shard count (nil otherwise)
 	mux         *http.ServeMux
 
 	// freshness is the merge-lag threshold past which /healthz reports
@@ -69,18 +68,12 @@ func NewCluster(cl *cluster.Cluster) *Server {
 	return s
 }
 
-// NewLive wraps a live single-node ingestion engine: /search serves
-// snapshot-isolated reads through the delta, POST /ingest accepts
-// mutations, and /healthz degrades when merge lag exceeds freshness
-// (0 = no check). The engine must outlive the server; the caller owns
-// Close (which drains in-flight background merges).
-func NewLive(e *ingest.Engine, freshness int) *Server {
-	s := &Server{live: e, freshness: freshness}
-	s.init()
-	return s
-}
-
-// NewLiveCluster wraps a live sharded ingestion layer; see NewLive.
+// NewLiveCluster wraps a live ingestion cluster (one shard for a single
+// node): /search serves snapshot-isolated reads through the deltas, POST
+// /ingest accepts mutations, and /healthz degrades when merge lag
+// exceeds freshness (0 = no check). The cluster must outlive the
+// server; the caller owns Close (which drains in-flight background
+// merges).
 func NewLiveCluster(c *ingest.Cluster, freshness int) *Server {
 	s := &Server{liveCluster: c, freshness: freshness}
 	s.init()
@@ -92,18 +85,9 @@ func (s *Server) init() {
 	s.mux.HandleFunc("GET /search", s.handleSearch)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /statz", s.handleStats)
-	if s.live != nil || s.liveCluster != nil {
+	if s.liveCluster != nil {
 		s.mux.HandleFunc("POST /ingest", s.handleIngest)
 	}
-}
-
-// eng resolves the current single-node core engine: the live layer
-// swaps engines at merge commits, so it is re-read per request.
-func (s *Server) eng() *core.Engine {
-	if s.live != nil {
-		return s.live.Engine()
-	}
-	return s.engine
 }
 
 // cl resolves the current cluster; the live layer swaps clusters at
@@ -154,7 +138,7 @@ type SearchResponse struct {
 	// set trace=1 on a single-engine server.
 	Plan []PlanOpJSON `json:"plan,omitempty"`
 	// Shards is the per-shard execution summary, present when the request
-	// set trace=1 on a cluster server.
+	// set trace=1 on a cluster or live server.
 	Shards []ShardTraceJSON `json:"shards,omitempty"`
 }
 
@@ -213,6 +197,35 @@ type ShardTraceJSON struct {
 	BudgetRejected   bool `json:"budget_rejected,omitempty"`
 	DeadlineExceeded bool `json:"deadline_exceeded,omitempty"`
 	HedgeSkipped     bool `json:"hedge_skipped,omitempty"`
+	// Plan is the shard's executed physical query plan (omitted when the
+	// shard ran no operators: shed, refused, or failed before planning).
+	Plan []PlanOpJSON `json:"plan,omitempty"`
+}
+
+// planJSON renders an executed physical plan for a traced response.
+func planJSON(plan []core.PlanRecord) []PlanOpJSON {
+	if len(plan) == 0 {
+		return nil
+	}
+	out := make([]PlanOpJSON, len(plan))
+	for i, op := range plan {
+		out[i] = PlanOpJSON{
+			Op:        op.Kind.String(),
+			Algo:      op.Algo.String(),
+			Where:     op.Where.String(),
+			Term:      op.Term,
+			NIn:       op.NIn,
+			NOut:      op.NOut,
+			Bytes:     op.Bytes,
+			TookUS:    float64(op.Took) / float64(time.Microsecond),
+			EstTookUS: float64(op.Est) / float64(time.Microsecond),
+			Device:    op.Device,
+			Peer:      op.Peer,
+			BatchID:   op.BatchID,
+			BatchSize: op.BatchSize,
+		}
+	}
+	return out
 }
 
 // HitJSON is one ranked result.
@@ -223,7 +236,8 @@ type HitJSON struct {
 
 // handleSearch serves GET /search?q=terms+separated+by+spaces[&k=10][&trace=1].
 // With trace=1 the response includes the executed physical query plan
-// (single engine) or the per-shard execution summary (cluster).
+// (single engine) or the per-shard execution summary with each shard's
+// plan (cluster and live servers).
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := strings.TrimSpace(r.URL.Query().Get("q"))
 	if q == "" {
@@ -265,18 +279,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var res *core.Result
-	var err error
-	if s.live != nil {
-		// The live path pins a (segment, delta) snapshot for the whole
-		// query — concurrent mutations and merge commits never tear it.
-		var lr *ingest.Result
-		if lr, err = s.live.SearchContext(r.Context(), terms); err == nil {
-			res = lr.Result
-		}
-	} else {
-		res, err = s.engine.SearchContext(r.Context(), terms)
-	}
+	res, err := s.engine.SearchContext(r.Context(), terms)
 	if err != nil {
 		s.errors.Add(1)
 		http.Error(w, "search failed: "+err.Error(), http.StatusInternalServerError)
@@ -300,24 +303,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = HitJSON{DocID: h.DocID, Score: h.Score}
 	}
 	if trace {
-		resp.Plan = make([]PlanOpJSON, len(res.Stats.Plan))
-		for i, op := range res.Stats.Plan {
-			resp.Plan[i] = PlanOpJSON{
-				Op:        op.Kind.String(),
-				Algo:      op.Algo.String(),
-				Where:     op.Where.String(),
-				Term:      op.Term,
-				NIn:       op.NIn,
-				NOut:      op.NOut,
-				Bytes:     op.Bytes,
-				TookUS:    float64(op.Took) / float64(time.Microsecond),
-				EstTookUS: float64(op.Est) / float64(time.Microsecond),
-				Device:    op.Device,
-				Peer:      op.Peer,
-				BatchID:   op.BatchID,
-				BatchSize: op.BatchSize,
-			}
-		}
+		resp.Plan = planJSON(res.Stats.Plan)
 	}
 	writeJSON(w, resp)
 }
@@ -414,6 +400,7 @@ func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []s
 				BudgetRejected:   ss.BudgetRejected,
 				DeadlineExceeded: ss.DeadlineExceeded,
 				HedgeSkipped:     ss.HedgeSkipped,
+				Plan:             planJSON(ss.Query.Plan),
 			}
 		}
 	}
@@ -457,23 +444,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, `mutation needs "tokens" or "text"`, http.StatusBadRequest)
 			return
 		}
-		if s.live != nil {
-			if req.Op == "add" {
-				err = s.live.Add(req.DocID, tokens)
-			} else {
-				err = s.live.Update(req.DocID, tokens)
-			}
-		} else if req.Op == "add" {
+		if req.Op == "add" {
 			err = s.liveCluster.Add(req.DocID, tokens)
 		} else {
 			err = s.liveCluster.Update(req.DocID, tokens)
 		}
 	case "delete":
-		if s.live != nil {
-			err = s.live.Delete(req.DocID)
-		} else {
-			err = s.liveCluster.Delete(req.DocID)
-		}
+		err = s.liveCluster.Delete(req.DocID)
 	default:
 		http.Error(w, `parameter "op" must be "add", "update", or "delete"`, http.StatusBadRequest)
 		return
@@ -499,15 +476,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ingested.Add(1)
-	resp := IngestResponse{}
-	if s.live != nil {
-		st := s.live.Stats()
-		resp.Gen, resp.Lag = st.Gen, st.Lag()
-	} else {
-		st := s.liveCluster.Stats()
-		resp.Gen, resp.Lag = st.Gen, st.Lag()
-	}
-	writeJSON(w, resp)
+	st := s.liveCluster.Stats()
+	writeJSON(w, IngestResponse{Gen: st.Gen, Lag: st.Lag()})
 }
 
 // ShardHealthJSON is one shard's reachability row in /healthz.
@@ -522,26 +492,20 @@ type ShardHealthJSON struct {
 // ingestLag returns the live backend's merge lag and whether a live
 // backend is present at all.
 func (s *Server) ingestLag() (uint64, bool) {
-	switch {
-	case s.live != nil:
-		return s.live.Stats().Lag(), true
-	case s.liveCluster != nil:
-		return s.liveCluster.Stats().Lag(), true
+	if s.liveCluster == nil {
+		return 0, false
 	}
-	return 0, false
+	return s.liveCluster.Stats().Lag(), true
 }
 
 // walWedged returns the storage fault that wedged the live backend's
 // WAL, or nil. A wedged backend keeps serving reads but refuses writes
 // — /healthz reports it degraded, not unhealthy.
 func (s *Server) walWedged() error {
-	switch {
-	case s.live != nil:
-		return s.live.Wedged()
-	case s.liveCluster != nil:
-		return s.liveCluster.Wedged()
+	if s.liveCluster == nil {
+		return nil
 	}
-	return nil
+	return s.liveCluster.Wedged()
 }
 
 // handleHealth serves GET /healthz. In cluster mode the status reflects
@@ -602,23 +566,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		_ = enc.Encode(body)
 		return
 	}
-	status := "ok"
-	if stale || wedged != nil {
-		status = "degraded"
-	}
-	eng := s.eng()
+	// Single engine: read-only, so no freshness or WAL signal applies.
 	body := map[string]any{
-		"status": status,
-		"docs":   eng.Index().NumDocs,
-		"terms":  eng.Index().NumTerms(),
-		"mode":   eng.Mode().String(),
-	}
-	if isLive {
-		body["ingest_lag"] = lag
-		body["freshness_threshold"] = s.freshness
-	}
-	if wedged != nil {
-		body["wal_wedged"] = wedged.Error()
+		"status": "ok",
+		"docs":   s.engine.Index().NumDocs,
+		"terms":  s.engine.Index().NumTerms(),
+		"mode":   s.engine.Mode().String(),
 	}
 	if s.gate != nil {
 		body["shed_rate"] = s.shedRate()
@@ -676,8 +629,8 @@ type StatsResponse struct {
 // IngestStatsJSON reports the live layer: writer generation, merge lag
 // (the /healthz freshness signal), mutation/merge counters, and the
 // simulated time merges spent contending with queries on the shared
-// device and CPU timelines. Cluster-only fields (shards, rebuilds,
-// splits, per-shard breakdowns) are omitted on single-node servers.
+// device and CPU timelines, plus the shard count and per-shard
+// breakdowns (a single node reports one shard).
 type IngestStatsJSON struct {
 	Gen        uint64 `json:"gen"`
 	Lag        uint64 `json:"lag"`
@@ -846,21 +799,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-	switch {
-	case s.live != nil:
-		st := s.live.Stats()
-		resp.Ingest = &IngestStatsJSON{
-			Gen: st.Gen, Lag: st.Lag(),
-			DeltaDocs: st.DeltaDocs, Tombstones: st.Tombstones,
-			Adds: st.Adds, Updates: st.Updates, Deletes: st.Deletes,
-			Accepted: s.ingested.Load(),
-			Merges:   st.Merges, Aborts: st.Aborts, MergedDocs: st.MergedDocs,
-			MergeDeviceMS: ms(st.MergeDevice), MergeCPUMS: ms(st.MergeCPU),
-			MergeStallMS:       ms(st.MergeStall),
-			FreshnessThreshold: s.freshness,
-			WAL:                st.WAL,
-		}
-	case s.liveCluster != nil:
+	if s.liveCluster != nil {
 		st := s.liveCluster.Stats()
 		resp.Ingest = &IngestStatsJSON{
 			Gen: st.Gen, Lag: st.Lag(),
@@ -940,7 +879,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	eng := s.eng()
+	eng := s.engine
 	resp.CachedLists = eng.CachedLists()
 	if st := eng.CacheStats(); st != (core.CacheStats{}) {
 		resp.Cache = cacheJSON(st)

@@ -39,6 +39,9 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 		return nil, fmt.Errorf("workload: shard count %d must be positive", shards)
 	}
 	terms := ix.Terms()
+	if shards == 1 {
+		return []*index.Index{shareIndex(ix, terms)}, nil
+	}
 
 	codec := index.CodecEF
 	for _, t := range terms {
@@ -101,6 +104,25 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 		out[s] = six
 	}
 	return out, nil
+}
+
+// shareIndex is the one-shard partition: the shard holds every posting,
+// so it shares the seed's encoded lists (EF, PForDelta, frequencies,
+// skips) instead of re-encoding them, through per-list header copies
+// carrying the GlobalN stamp every shard list gets.
+func shareIndex(ix *index.Index, terms []string) *index.Index {
+	b := index.NewBuilder(index.CodecEF)
+	for _, term := range terms {
+		pl, _ := ix.Lookup(term)
+		cp := *pl
+		cp.GlobalN = pl.N
+		b.AddPrebuilt(&cp)
+	}
+	six, _ := b.Build() // prebuilt lists only: nothing to encode, no error
+	six.NumDocs = ix.NumDocs
+	six.DocLens = ix.DocLens
+	six.AvgDocLen = ix.AvgDocLen
+	return six
 }
 
 // PartitionCorpus partitions a generated corpus's index (the experiment
